@@ -69,7 +69,8 @@ class SizeEstimate:
     rep_values: List[float] = field(default_factory=list)
 
     def __post_init__(self):
-        assert self.nu >= 0.0
+        if not self.nu >= 0.0:
+            raise ValueError(f"size estimate must be >= 0, got {self.nu}")
 
 
 # -- contraction family ----------------------------------------------------
@@ -305,7 +306,8 @@ class Estimator:
             # each draw is deterministic; repetitions agree, median = value
             return nu, [nu] * cfg.reps, {"m1": len(m1), "psi": psi}
         b = cfg.b_general if cfg.mode == "general" else cfg.b_star
-        self.query_work += (graph.m + graph.n) * cfg.reps
+        # a general pass touches the edges and the matched ids, not all of [n]
+        self.query_work += (graph.m + len(m1)) * cfg.reps
         vals = []
         last_kappa = 0
         for r in range(cfg.reps):

@@ -36,6 +36,10 @@ class MissingDelete(GraphError):
     pass
 
 
+class NotMaximal(GraphError):
+    pass
+
+
 def norm_edge(u: int, v: int) -> Edge:
     """Canonical (min, max) form of an unordered pair."""
     return (u, v) if u < v else (v, u)
@@ -212,6 +216,12 @@ class BMatching:
         self.mult[e] = self.mult.get(e, 0) + count
         self.load[u] += count
         self.load[v] += count
+
+    def check_maximal(self, edges: Iterable[Edge]) -> None:
+        """Raise NotMaximal unless every edge has a saturated endpoint."""
+        for (u, v) in edges:
+            if self.residual(u) > 0 and self.residual(v) > 0:
+                raise NotMaximal(f"b-matching not maximal at ({u},{v})")
 
 
 class FractionalMatching:

@@ -13,8 +13,9 @@ import json
 import math
 import os
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graph import (DynamicGraph, Edge, UpdateEvent, format_event, norm_edge,
                     read_stream, write_stream)
@@ -123,12 +124,12 @@ def gen_sliding_window(n: int, horizon: int, seed: int,
     delete the pair inserted `window` steps earlier."""
     rng = random.Random(seed)
     live: Dict[Edge, None] = {}
-    order: List[Edge] = []
+    order: Deque[Edge] = deque()
     events: List[UpdateEvent] = []
     t = 0
     while len(events) < horizon:
         if len(order) >= window:
-            e = order.pop(0)
+            e = order.popleft()
             del live[e]
             events.append(UpdateEvent("d", *e))
             if len(events) >= horizon:
@@ -179,7 +180,8 @@ class AdaptiveAdversary:
         self.h = h
         self.target = max(1, int(density * h * (n - h)))
         self.live: Dict[Edge, None] = {}
-        self.recent: List[Edge] = []
+        # newest inserts, oldest dropped beyond 4 batches
+        self.recent: Deque[Edge] = deque(maxlen=4 * batch)
         self.estimate_log: List[float] = []
 
     def _fresh_pair(self) -> Optional[Edge]:
@@ -207,8 +209,6 @@ class AdaptiveAdversary:
                 if e is not None:
                     self.live[e] = None
                     self.recent.append(e)
-                    if len(self.recent) > 4 * self.batch:
-                        self.recent.pop(0)
                     events.append(UpdateEvent("i", *e))
                     continue
             if not self.live:

@@ -184,9 +184,7 @@ def maximal_b_matching_reference(g: DynamicGraph, caps: Dict[int, int],
             if bm.residual(u) > 0 and bm.residual(v) > 0:
                 bm.add(u, v, 1)
                 changed = True
-    for (u, v) in order:
-        assert bm.residual(u) == 0 or bm.residual(v) == 0, \
-            f"b-matching not maximal at ({u},{v})"
+    bm.check_maximal(order)
     return bm
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graph import BMatching, DynamicGraph, Edge, Matching, norm_edge
@@ -61,16 +63,14 @@ def bulk_maximal_b_matching(edges: Sequence[Edge], caps: Dict[int, int]) -> BMat
 
     Each edge receives min(residual(u), residual(v)) copies at its turn;
     residuals never grow, so no earlier edge can become addable again.
-    Maximality over `edges` is asserted before returning.
+    Maximality over `edges` is checked before returning (raises NotMaximal).
     """
     bm = BMatching(caps)
     for (u, v) in edges:
         t = min(bm.residual(u), bm.residual(v))
         if t > 0:
             bm.add(u, v, t)
-    for (u, v) in edges:
-        assert bm.residual(u) == 0 or bm.residual(v) == 0, \
-            f"b-matching not maximal at ({u},{v})"
+    bm.check_maximal(edges)
     return bm
 
 
@@ -93,11 +93,13 @@ def second_pass_bipartite(edges: Sequence[Edge], M1: Matching,
                           cfg: SecondPassConfig, n: Optional[int] = None
                           ) -> Tuple[float, BMatching]:
     """Maximal b-matching on edges between V(M1) and free vertices, plus the
-    combined estimate (1-delta)|M1| + (delta/k)|M2|."""
-    n = _vertex_range(edges, n)
-    caps = {v: (cfg.k if M1.is_matched(v) else int(cfg.k * cfg.b))
-            for v in range(n)}
-    e2 = [e for e in edges if M1.is_matched(e[0]) != M1.is_matched(e[1])]
+    combined estimate (1-delta)|M1| + (delta/k)|M2|. Capacities exist only
+    for endpoints of those edges, so the pass costs O(m) whatever n is;
+    `n` is accepted for symmetry with the other passes and not read."""
+    matched = M1.partner
+    free_cap = int(cfg.k * cfg.b)
+    e2 = [e for e in edges if (e[0] in matched) != (e[1] in matched)]
+    caps = {v: (cfg.k if v in matched else free_cap) for e in e2 for v in e}
     m2 = bulk_maximal_b_matching(e2, caps)
     nu = (1.0 - cfg.delta) * len(M1) + (cfg.delta / cfg.k) * m2.size
     return nu, m2
@@ -125,30 +127,56 @@ def bipartite_two_pass(edges: Sequence[Edge], eps: float,
 # -- general graphs --------------------------------------------------------
 
 
-@dataclass
 class Bipartition:
-    """Vertex side labels: each M1 edge split deterministically (lower id
-    left), free vertices by independent fair coins from the seed."""
+    """Vertex side labels on [0, n): each M1 edge split deterministically
+    (lower id left), free vertices by independent fair coins from the seed.
 
-    side: Dict[int, str] = field(default_factory=dict)
-    provenance: Dict[int, str] = field(default_factory=dict)
+    Coin contract: the free vertex of rank i (the i-th free id in increasing
+    order) is "r" iff the top bit of the seed generator's i-th 32-bit output
+    word is set, which is exactly what the i-th `getrandbits(1)` call on
+    `random.Random(seed)` returns. Ranks come from a bisection into the
+    sorted matched ids, and words are drawn only up to the highest rank
+    asked for, so labelling k vertices costs O(k log |M1|) plus the words
+    drawn, never O(n). `side` and `provenance` materialize full O(n) maps
+    on first access.
+    """
+
+    def __init__(self, M1: Matching, n: int, seed: int):
+        self.n = n
+        self._partner = dict(M1.partner)
+        self._matched = sorted(M1.partner)
+        self._rng = random.Random(seed)
+        self._words = bytearray()
+
+    def side_of(self, v: int) -> str:
+        if not 0 <= v < self.n:
+            raise KeyError(v)
+        partner = self._partner.get(v)
+        if partner is not None:
+            return "l" if v < partner else "r"
+        rank = v - bisect_left(self._matched, v)
+        drawn = len(self._words) >> 2
+        if rank >= drawn:
+            k = rank + 1 - drawn
+            self._words += self._rng.getrandbits(32 * k).to_bytes(
+                4 * k, "little")
+        return "r" if self._words[4 * rank + 3] >> 7 else "l"
 
     def crosses(self, u: int, v: int) -> bool:
-        return self.side[u] != self.side[v]
+        return self.side_of(u) != self.side_of(v)
+
+    @cached_property
+    def side(self) -> Dict[int, str]:
+        return {v: self.side_of(v) for v in range(self.n)}
+
+    @cached_property
+    def provenance(self) -> Dict[int, str]:
+        return {v: ("matching-edge" if v in self._partner else "random")
+                for v in range(self.n)}
 
 
 def random_bipartition(M1: Matching, n: int, seed: int) -> Bipartition:
-    part = Bipartition()
-    rng = random.Random(seed)
-    for v in range(n):
-        if M1.is_matched(v):
-            u = M1.partner[v]
-            part.side[v] = "l" if v < u else "r"
-            part.provenance[v] = "matching-edge"
-        else:
-            part.side[v] = "l" if rng.getrandbits(1) == 0 else "r"
-            part.provenance[v] = "random"
-    return part
+    return Bipartition(M1, n, seed)
 
 
 def second_pass_general(edges: Sequence[Edge], M1: Matching, part: Bipartition,
@@ -156,11 +184,13 @@ def second_pass_general(edges: Sequence[Edge], M1: Matching, part: Bipartition,
                         ) -> Tuple[BMatching, List[Edge]]:
     """Maximal b-matching M2 (caps 1 matched / b free) on the edges crossing
     the bipartition between V(M1) and free vertices, plus M1_hat: the M1 edges
-    with both endpoints matched in M2."""
-    n = _vertex_range(edges, n)
-    caps = {v: (1 if M1.is_matched(v) else b) for v in range(n)}
+    with both endpoints matched in M2. Capacities exist only for endpoints of
+    the kept edges, so one pass costs O((m + |M1|) log |M1|) whatever n is;
+    `n` is accepted for symmetry with the other passes and not read."""
+    matched = M1.partner
     e2 = [e for e in edges
-          if M1.is_matched(e[0]) != M1.is_matched(e[1]) and part.crosses(*e)]
+          if (e[0] in matched) != (e[1] in matched) and part.crosses(*e)]
+    caps = {v: (1 if v in matched else b) for e in e2 for v in e}
     m2 = bulk_maximal_b_matching(e2, caps)
     m1_hat = [e for e in M1.edges()
               if m2.load.get(e[0], 0) >= 1 and m2.load.get(e[1], 0) >= 1]

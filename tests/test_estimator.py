@@ -7,8 +7,8 @@ from dynmatch.graph import DynamicGraph, Matching, UpdateEvent, validate
 from dynmatch import oracles
 from dynmatch.estimator import (AlphaOutOfRange, ContractedMember,
                                 ContractionFamily, Estimator, EstimatorConfig,
-                                bipartite_query, combine_amm_and_alpha,
-                                general_query)
+                                SizeEstimate, bipartite_query,
+                                combine_amm_and_alpha, general_query)
 from dynmatch.streaming import SecondPassConfig
 
 
@@ -184,6 +184,13 @@ def test_combiner_properties_random():
         assert len(out) >= len(m2)
         for v in m1.vertices():
             assert out.is_matched(v)
+
+
+def test_size_estimate_rejects_negative_and_nan():
+    with pytest.raises(ValueError):
+        SizeEstimate(-0.5, 0)
+    with pytest.raises(ValueError):
+        SizeEstimate(float("nan"), 0)
 
 
 def test_estimator_empty_graph_and_simple_fill():

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from dynmatch.graph import (BMatching, DuplicateInsert, DynamicGraph,
                             FractionalMatching, GraphError, Matching,
-                            MissingDelete, OutOfRange, SelfLoop, UpdateEvent,
+                            MissingDelete, NotMaximal, OutOfRange, SelfLoop,
+                            UpdateEvent,
                             format_event, norm_edge, parse_stream_lines,
                             read_stream, validate, write_stream)
 
@@ -100,6 +101,16 @@ def test_bmatching_capacities():
         bm.add(0, 1)
     with pytest.raises(ValueError):
         BMatching({0: 0})
+
+
+def test_bmatching_maximality_check_raises():
+    bm = BMatching({0: 2, 1: 1, 2: 1})
+    bm.add(0, 1)
+    bm.check_maximal([(0, 1)])  # 1 is saturated
+    with pytest.raises(NotMaximal):
+        bm.check_maximal([(0, 1), (0, 2)])  # 0 and 2 both have room
+    bm.add(0, 2)
+    bm.check_maximal([(0, 1), (0, 2), (1, 2)])
 
 
 def test_fractional_matching_value_and_fdeg():

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from dynmatch.graph import DynamicGraph, Matching
-from dynmatch import oracles
+from dynmatch.graph import BMatching, DynamicGraph, Matching
+from dynmatch import estimator, oracles
 from dynmatch.streaming import (B_BIPARTITE, B_GENERAL, NonBipartiteInput,
                                 SecondPassConfig, bipartite_two_pass,
                                 bulk_maximal_b_matching,
@@ -176,3 +176,142 @@ def test_disjoint_paths_size_and_disjointness():
             for x in (up, u, v, vp):
                 assert x not in used
                 used.add(x)
+
+
+# -- bit identity with the dense per-vertex definitions ----------------------
+
+
+def dense_sides(m1, n, seed):
+    """Reference: one getrandbits(1) per free vertex, in id order."""
+    rng = random.Random(seed)
+    side = {}
+    for v in range(n):
+        if m1.is_matched(v):
+            side[v] = "l" if v < m1.partner[v] else "r"
+        else:
+            side[v] = "l" if rng.getrandbits(1) == 0 else "r"
+    return side
+
+
+def dense_second_pass_general(edges, m1, side, b, n):
+    """Reference: caps over all of range(n), then the saturating pass."""
+    caps = {v: (1 if m1.is_matched(v) else b) for v in range(n)}
+    e2 = [e for e in edges if m1.is_matched(e[0]) != m1.is_matched(e[1])
+          and side[e[0]] != side[e[1]]]
+    bm = BMatching(caps)
+    for (u, v) in e2:
+        t = min(bm.residual(u), bm.residual(v))
+        if t > 0:
+            bm.add(u, v, t)
+    m1_hat = [e for e in m1.edges()
+              if bm.load[e[0]] >= 1 and bm.load[e[1]] >= 1]
+    return bm, m1_hat
+
+
+def dense_general_query(g, m1, b, seed):
+    side = dense_sides(m1, g.n, seed)
+    _, m1_hat = dense_second_pass_general(g.snapshot_edges(), m1, side, b,
+                                          g.n)
+    kappa = min(len(m1_hat), len(m1))
+    return len(m1) + kappa / b, kappa
+
+
+def _random_edges(rng, n, count, allowed=None):
+    seen = set()
+    out = []
+    for _ in range(count):
+        u, v = rng.randrange(n), rng.randrange(n)
+        e = (min(u, v), max(u, v))
+        if u == v or e in seen or (allowed and not allowed(*e)):
+            continue
+        seen.add(e)
+        out.append((u, v))
+    return out
+
+
+def _identity_cases():
+    """(n, edges, M1) over four shapes: a greedy M1 on a random prefix of
+    the stream, an empty M1, a perfect (or, for odd n, near-perfect) M1, and
+    an M1 that leaves no edge between matched and free vertices."""
+    rng = random.Random(20)
+    for n in (1, 5, 60, 2000):
+        for trial in range(60):
+            shape = trial % 4
+            if n == 1:
+                yield n, [], Matching()
+                continue
+            edges = _random_edges(rng, n, rng.randrange(3 * n))
+            if shape == 0:
+                m1 = first_pass_matching(edges[:rng.randrange(len(edges) + 1)])
+            elif shape == 1:
+                m1 = Matching()
+            elif shape == 2:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                m1 = Matching(zip(perm[0:n - 1:2], perm[1::2]))
+            else:
+                inside = set(rng.sample(range(n), 2 * rng.randrange(n // 2)))
+                order = sorted(inside)
+                rng.shuffle(order)
+                m1 = Matching(zip(order[0::2], order[1::2]))
+                edges = _random_edges(
+                    rng, n, 3 * n,
+                    lambda u, v: (u in inside) == (v in inside))
+            present = {(min(e), max(e)) for e in edges}
+            edges += [e for e in m1.edges() if e not in present]
+            yield n, edges, m1
+
+
+def test_sparse_passes_bit_identical_to_dense_reference():
+    rng = random.Random(21)
+    cases = 0
+    for n, edges, m1 in _identity_cases():
+        seed = rng.randrange(2**63)
+        side = dense_sides(m1, n, seed)
+        part = random_bipartition(m1, n, seed)
+        assert part.side == side
+        for b in (1, B_GENERAL):
+            part = random_bipartition(m1, n, seed)
+            m2, m1_hat = second_pass_general(edges, m1, part, b, n)
+            ref_m2, ref_hat = dense_second_pass_general(edges, m1, side, b, n)
+            assert list(m2.mult.items()) == list(ref_m2.mult.items())
+            assert m1_hat == ref_hat
+        g = build(n, [(min(e), max(e)) for e in edges])
+        assert (estimator.general_query(g, m1, B_GENERAL, seed)
+                == dense_general_query(g, m1, B_GENERAL, seed))
+        cases += 1
+    assert cases >= 200
+
+
+def test_lazy_coins_match_dense_reference_in_any_access_order():
+    rng = random.Random(22)
+    n = 2000
+    for trial in range(20):
+        edges = _random_edges(rng, n, 800)
+        m1 = first_pass_matching(edges)
+        seed = rng.randrange(2**63)
+        side = dense_sides(m1, n, seed)
+        free = [v for v in range(n) if not m1.is_matched(v)]
+        # ascending free ids: every call needs exactly one fresh word
+        part = random_bipartition(m1, n, seed)
+        for v in free[:50]:
+            assert part.side_of(v) == side[v]
+        # a high rank first, then lower and higher ones
+        part = random_bipartition(m1, n, seed)
+        assert part.side_of(free[len(free) // 2]) == side[free[len(free) // 2]]
+        order = list(range(n))
+        rng.shuffle(order)
+        for v in order:
+            assert part.side_of(v) == side[v]
+
+
+def test_coins_are_drawn_only_up_to_the_highest_rank_asked():
+    m1 = Matching([(0, 5), (2, 9)])
+    part = random_bipartition(m1, 10_000, seed=3)
+    part.side_of(0)
+    part.side_of(5)
+    assert len(part._words) == 0
+    part.side_of(7)  # free ids 1, 3, 4, 6, 7: rank 4
+    assert len(part._words) == 4 * 5
+    part.side_of(3)
+    assert len(part._words) == 4 * 5
