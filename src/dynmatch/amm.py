@@ -1,11 +1,14 @@
 """Robust maintenance of an approximately-maximal matching.
 
-Pipeline per rebuild: a validated approximately-maximal fractional matching
-(AMfM) -> level-wise edge coloring and color sampling -> bounded-degree kernel
--> static matching extraction with an explicit removal witness. A lightweight
-eager repair rule keeps the live matching exactly maximal between rebuilds,
-so the witness obligations hold with margin; epoch-based rebuilds still run to
-refresh the kernel-derived structure and its validators.
+The paper's kernel pipeline is kept as a library with its validators: a
+validated approximately-maximal fractional matching (AMfM) -> level-wise edge
+coloring and color sampling -> bounded-degree kernel -> static matching
+extraction with an explicit removal witness. With the provider's degree bound
+d every level's sample covers its whole palette, so that kernel is always the
+full edge list sorted by level; the maintainer builds exactly that list from
+the live graph and extracts from it, without running the pipeline. An eager
+repair rule keeps the live matching exactly maximal between the epoch
+rebuilds.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import networkx as nx
 
 from .graph import (DynamicGraph, Edge, FractionalMatching, Matching,
                     UpdateEvent, norm_edge)
+from .streaming import first_pass_matching
 
 
 class ValidationFailed(Exception):
@@ -80,6 +84,24 @@ def required_degree_bound(n: int, c: float, eps: float) -> int:
     return math.ceil(9.0 * c * (1 + eps) ** 2 * math.log(max(n, 2)) / eps**2)
 
 
+def provider_degree_bound(g: DynamicGraph, eps: float) -> int:
+    """The provider's default d: the analysis bound at c = 1 + 2*eps,
+    floored at max-degree+1, capped at n-1 (for n >= 3), and at least 2.
+    It is never below the maximum degree, so every level's color sample in
+    `edge_color_and_sparsify` covers the level's whole palette."""
+    n = g.n
+    max_deg = max((g.degree(v) for v in range(n)), default=0)
+    d = max(required_degree_bound(n, 1.0 + 2.0 * eps, eps), max_deg + 1)
+    if n >= 3:
+        d = min(d, n - 1)
+    return max(d, 2)
+
+
+def spread_value(g: DynamicGraph, e: Edge) -> float:
+    """The provider's value on edge e: 1/max(deg u, deg v)."""
+    return 1.0 / max(g.degree(e[0]), g.degree(e[1]))
+
+
 def fractional_provider(g: DynamicGraph, eps: float,
                         d: Optional[int] = None) -> AMfM:
     """Default provider: degree-proportional spread x_e = 1/max(deg u, deg v).
@@ -87,22 +109,15 @@ def fractional_provider(g: DynamicGraph, eps: float,
     Feasible (each vertex's sum is at most 1) and approximately maximal: an
     edge whose larger endpoint degree is below d is heavy; otherwise that
     endpoint has all incident values <= 1/d and fractional degree close to 1.
-    d defaults to the analysis bound, floored at max-degree+1 and capped at
-    n-1. Output is validated, never assumed.
+    d defaults to `provider_degree_bound`. Output is validated, never
+    assumed.
     """
-    n = g.n
-    c = 1.0 + 2.0 * eps
-    max_deg = max((g.degree(v) for v in range(n)), default=0)
     if d is None:
-        d = required_degree_bound(n, c, eps)
-        d = max(d, max_deg + 1)
-        if n >= 3:
-            d = min(d, n - 1)
-        d = max(d, 2)
+        d = provider_degree_bound(g, eps)
     x = FractionalMatching()
-    for (u, v) in g.edges():
-        x.set_value(u, v, 1.0 / max(g.degree(u), g.degree(v)))
-    amfm = AMfM(x=x, c=c, d=d)
+    for e in g.edges():
+        x.set_value(*e, spread_value(g, e))
+    amfm = AMfM(x=x, c=1.0 + 2.0 * eps, d=d)
     report = validate_amfm(g, amfm)
     if not report["ok"]:
         raise ValidationFailed(report["violation"])
@@ -212,6 +227,16 @@ def edge_color_and_sparsify(g: DynamicGraph, amfm: AMfM, eps: float,
     raise KernelValidationFailed(last_error or "kernel resampling failed")
 
 
+def level_ordered_kernel(g: DynamicGraph, eps: float) -> Kernel:
+    """The kernel `edge_color_and_sparsify` returns for `fractional_provider`'s
+    AMfM, built straight from the live graph. Under `provider_degree_bound`
+    every level is taken wholesale, so that kernel is every edge ordered by
+    the level of its spread value, ascending, in insertion order within a
+    level (the sort is stable)."""
+    edges = sorted(g.edges(), key=lambda e: level_of(spread_value(g, e), eps))
+    return Kernel(edges=edges, d=provider_degree_bound(g, eps), eps=eps)
+
+
 # -- static matching extraction -------------------------------------------
 
 
@@ -221,9 +246,6 @@ class AMMState:
 
     matching: Matching
     witness: Set[int] = field(default_factory=set)
-    epoch: int = 0
-    epoch_length: int = 1
-    deletions_since_build: int = 0
 
 
 def high_degree_nodes(k: Kernel) -> List[int]:
@@ -260,7 +282,9 @@ class DynamicMaximalMatching:
     Insert: match when both endpoints are free. Delete of a matched edge:
     rematch both endpoints against their free neighbors. Maximality is
     preserved exactly (every uncovered edge would have had a free endpoint
-    pair, which the repair rule eliminates).
+    pair, which the repair rule eliminates). `AMMMaintainer` inherits this
+    rule; the estimator's contraction members and tradeoff source use it
+    directly.
     """
 
     def __init__(self, g: DynamicGraph):
@@ -268,49 +292,42 @@ class DynamicMaximalMatching:
         self.g = g
 
     def on_update(self, g: DynamicGraph, ev: UpdateEvent) -> None:
+        m = self.m
         u, v = ev.u, ev.v
         if ev.kind == "i":
-            if not self.m.is_matched(u) and not self.m.is_matched(v):
-                self.m.add(u, v)
-        elif ev.kind == "d":
-            if norm_edge(u, v) in self.m:
-                self.m.remove(u, v)
-                self._rematch(g, u)
-                self._rematch(g, v)
+            if u not in m.partner and v not in m.partner:
+                m.add(u, v)
+        elif ev.kind == "d" and m.partner.get(u) == v:
+            m.remove(u, v)
+            self._rematch(g, u)
+            self._rematch(g, v)
 
     def _rematch(self, g: DynamicGraph, v: int) -> None:
-        if self.m.is_matched(v):
+        partner = self.m.partner
+        if v in partner:
             return
         for w in g.neighbors(v):
-            if not self.m.is_matched(w):
+            if w not in partner:
                 self.m.add(v, w)
                 return
 
-    def rebuild(self, g: DynamicGraph) -> None:
-        self.m = Matching()
-        for (u, v) in g.edges():
-            if not self.m.is_matched(u) and not self.m.is_matched(v):
-                self.m.add(u, v)
 
-
-class AMMMaintainer:
+class AMMMaintainer(DynamicMaximalMatching):
     """Epoch-based maintainer registered as a graph listener.
 
-    Epoch length tracks eps*mu_hat/3 with mu_hat = 2|M| (a <=3-approximation
-    since the live matching is maximal). Every epoch the kernel pipeline
-    rebuilds the matching from scratch and swaps it in; in between, eager
-    repair keeps the live matching maximal, and the removal-witness
-    accounting covers the no-repair configuration. Validator outcomes of the
-    latest rebuild are kept for checkpoint audits.
+    Between rebuilds the inherited repair rule keeps the live matching `m`
+    maximal. Epoch length tracks eps*mu_hat/3 with mu_hat = 2|M| (a
+    <=3-approximation since the live matching is maximal); at the end of
+    every epoch `rebuild` recomputes the matching from the live graph and
+    swaps it in. The latest rebuild's branch and sizes are kept for
+    checkpoint audits. `seed` is accepted for callers that seed every
+    component; no rebuild draws randomness.
     """
 
-    def __init__(self, g: DynamicGraph, eps: float, seed: int = 0,
-                 repair: bool = True):
-        self.g = g
+    def __init__(self, g: DynamicGraph, eps: float, seed: int = 0):
+        super().__init__(g)
         self.eps = eps
-        self.seed = seed
-        self.repair = repair
-        self.state = AMMState(matching=Matching())
+        self.witness: Set[int] = set()
         self.epoch_index = 0
         self.updates_in_epoch = 0
         self.rebuild_count = 0
@@ -321,97 +338,54 @@ class AMMMaintainer:
     # -- size estimate -----------------------------------------------------
 
     def matching(self) -> Matching:
-        return self.state.matching
+        return self.m
+
+    @property
+    def state(self) -> AMMState:
+        """The live matching with the latest rebuild's removal witness."""
+        return AMMState(matching=self.m, witness=self.witness)
 
     def mu_hat(self) -> int:
-        return max(1, 2 * len(self.state.matching))
-
-    def current(self) -> AMMState:
-        return self.state
+        return max(1, 2 * len(self.m))
 
     def _set_epoch_length(self) -> None:
-        self.state.epoch_length = max(1, int(self.eps * self.mu_hat() / 3))
+        self.epoch_length = max(1, int(self.eps * self.mu_hat() / 3))
 
     # -- update path -------------------------------------------------------
 
     def on_update(self, g: DynamicGraph, ev: UpdateEvent) -> None:
         self.work += 1
-        m = self.state.matching
-        u, v = ev.u, ev.v
-        if ev.kind == "i":
-            if not m.is_matched(u) and not m.is_matched(v):
-                if self.repair:
-                    m.add(u, v)
-                else:
-                    # maximality now needs one endpoint removed
-                    self.state.witness.add(u)
-        elif ev.kind == "d":
-            if norm_edge(u, v) in m:
-                m.remove(u, v)
-                self.state.deletions_since_build += 1
-                if self.repair:
-                    self._rematch(g, u)
-                    self._rematch(g, v)
-                else:
-                    self.state.witness.update((u, v))
+        # an explicit base call: cheaper than super() on every update
+        DynamicMaximalMatching.on_update(self, g, ev)
         self.updates_in_epoch += 1
-        if self.updates_in_epoch >= self.state.epoch_length:
-            self._end_epoch()
-
-    def _rematch(self, g: DynamicGraph, v: int) -> None:
-        m = self.state.matching
-        if m.is_matched(v):
-            return
-        for w in g.neighbors(v):
-            if not m.is_matched(w):
-                m.add(v, w)
-                return
-
-    def _end_epoch(self) -> None:
-        self.epoch_index += 1
-        self.updates_in_epoch = 0
-        self.rebuild()
+        if self.updates_in_epoch >= self.epoch_length:
+            self.epoch_index += 1
+            self.updates_in_epoch = 0
+            self.rebuild()
 
     def rebuild(self) -> None:
-        """Kernel-pipeline recomputation from the live graph, swapped in.
+        """Recompute the matching from the live graph and swap it in.
 
-        Below matching size 1/eps the matching is recomputed directly (the
-        small-size branch); the kernel path still runs so its validators are
-        exercised on every rebuild.
+        While 2|M| is below 1/eps it is a greedy maximal matching in edge
+        order (the small-size branch). Otherwise it is extracted from
+        `level_ordered_kernel`, the kernel the library pipeline would
+        return, without running that pipeline.
         """
         g = self.g
         self.rebuild_count += 1
         self.work += g.m + g.n
         report: dict = {"epoch": self.epoch_index}
         if g.m == 0:
-            self.state = AMMState(matching=Matching(),
-                                  epoch=self.epoch_index)
-            self._set_epoch_length()
+            self.m, self.witness = Matching(), set()
             report["empty"] = True
-            self.last_rebuild_report = report
-            return
-        amfm = fractional_provider(g, self.eps)
-        report["amfm_ok"] = True  # provider validates or raises
-        kern = edge_color_and_sparsify(
-            g, amfm, self.eps, seed=(self.seed * 1000003 + self.epoch_index))
-        kreport = validate_kernel(g, kern)
-        report["kernel_ok"] = kreport["ok"]
-        report["kernel_edges"] = len(kern.edges)
-        report["high_degree"] = len(high_degree_nodes(kern))
-        if not kreport["ok"]:
-            raise KernelValidationFailed(kreport["violation"])
-        small = 2 * len(self.state.matching) < 1.0 / self.eps
-        if small:
-            m = Matching()
-            for (u, v) in g.edges():
-                if not m.is_matched(u) and not m.is_matched(v):
-                    m.add(u, v)
-            new_state = AMMState(matching=m, epoch=self.epoch_index)
-            report["branch"] = "small-direct"
+        elif 2 * len(self.m) < 1.0 / self.eps:
+            self.m, self.witness = first_pass_matching(g.edges()), set()
+            report.update(branch="small-direct", kernel_edges=g.m)
         else:
-            new_state = static_amm_from_kernel(g, kern, self.eps)
-            new_state.epoch = self.epoch_index
-            report["branch"] = "kernel"
-        self.state = new_state
+            kern = level_ordered_kernel(g, self.eps)
+            state = static_amm_from_kernel(g, kern, self.eps)
+            self.m, self.witness = state.matching, state.witness
+            report.update(branch="kernel", kernel_edges=len(kern.edges),
+                          high_degree=len(high_degree_nodes(kern)))
         self._set_epoch_length()
         self.last_rebuild_report = report

@@ -44,6 +44,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.mode not in ("bipartite", "general", "tradeoff"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not 0.0 < self.eps < 1.0:  # also rejects NaN
+            raise ValueError(f"eps={self.eps} outside (0, 1)")
         if self.reps < 1:
             raise ValueError("repetition count must be >= 1")
         self.spc = SecondPassConfig.bipartite(self.eps)
@@ -195,7 +197,7 @@ def bipartite_query(g: DynamicGraph, m1: Matching,
     bipartiteness); that is still a valid lower bound."""
     if oracles.bipartition(g) is None:
         return float(len(m1)), 0.0
-    nu, m2 = second_pass_bipartite(g.snapshot_edges(), m1, spc, g.n)
+    nu, m2 = second_pass_bipartite(g.snapshot_edges(), m1, spc)
     return nu, float(m2.size)
 
 
@@ -206,7 +208,7 @@ def general_query(g: DynamicGraph, m1: Matching, b: int,
     |M1|). Deterministically <= mu(g): those kappa edges host vertex-disjoint
     augmenting structure worth at least kappa/b extra matching size."""
     part = random_bipartition(m1, g.n, seed)
-    _, m1_hat = second_pass_general(g.snapshot_edges(), m1, part, b, g.n)
+    _, m1_hat = second_pass_general(g.snapshot_edges(), m1, part, b)
     kappa = min(len(m1_hat), len(m1))
     return len(m1) + kappa / b, kappa
 
@@ -269,7 +271,7 @@ class Estimator:
     def __init__(self, n: int, cfg: EstimatorConfig):
         self.cfg = cfg
         self.g = DynamicGraph(n)
-        self.amm = AMMMaintainer(self.g, eps=cfg.eps, seed=cfg.seed)
+        self.amm = AMMMaintainer(self.g, eps=cfg.eps)
         self.g.register(self.amm)
         self.family = ContractionFamily(n, cfg.eps, cfg.seed,
                                         cfg.contraction_reps)

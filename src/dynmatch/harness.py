@@ -24,9 +24,9 @@ from .estimator import Estimator, EstimatorConfig
 
 REPORT_VERSION = 1
 
-# recorded in every report: the provider recomputes per epoch, so update-time
-# guarantees are amortized per epoch; queries replay the live edge set exactly
-# instead of sampling it.
+# recorded in every report: the maintainer recomputes its matching per epoch,
+# so update-time guarantees are amortized per epoch; queries replay the live
+# edge set exactly instead of sampling it.
 DEVIATIONS = ["amortized-provider", "exact-query-replay"]
 
 

@@ -90,12 +90,10 @@ def _check_bipartite(edges: Sequence[Edge], n: int) -> None:
 
 
 def second_pass_bipartite(edges: Sequence[Edge], M1: Matching,
-                          cfg: SecondPassConfig, n: Optional[int] = None
-                          ) -> Tuple[float, BMatching]:
+                          cfg: SecondPassConfig) -> Tuple[float, BMatching]:
     """Maximal b-matching on edges between V(M1) and free vertices, plus the
     combined estimate (1-delta)|M1| + (delta/k)|M2|. Capacities exist only
-    for endpoints of those edges, so the pass costs O(m) whatever n is;
-    `n` is accepted for symmetry with the other passes and not read."""
+    for endpoints of those edges, so the pass costs O(m) whatever n is."""
     matched = M1.partner
     free_cap = int(cfg.k * cfg.b)
     e2 = [e for e in edges if (e[0] in matched) != (e[1] in matched)]
@@ -120,7 +118,7 @@ def bipartite_two_pass(edges: Sequence[Edge], eps: float,
     _check_bipartite(edges, n)
     cfg = SecondPassConfig.bipartite(eps)
     m1 = first_pass_matching(edges, eps / 8.0)
-    nu, m2 = second_pass_bipartite(edges, m1, cfg, n)
+    nu, m2 = second_pass_bipartite(edges, m1, cfg)
     return nu, m1, m2
 
 
@@ -180,13 +178,11 @@ def random_bipartition(M1: Matching, n: int, seed: int) -> Bipartition:
 
 
 def second_pass_general(edges: Sequence[Edge], M1: Matching, part: Bipartition,
-                        b: int, n: Optional[int] = None
-                        ) -> Tuple[BMatching, List[Edge]]:
+                        b: int) -> Tuple[BMatching, List[Edge]]:
     """Maximal b-matching M2 (caps 1 matched / b free) on the edges crossing
     the bipartition between V(M1) and free vertices, plus M1_hat: the M1 edges
     with both endpoints matched in M2. Capacities exist only for endpoints of
-    the kept edges, so one pass costs O((m + |M1|) log |M1|) whatever n is;
-    `n` is accepted for symmetry with the other passes and not read."""
+    the kept edges, so one pass costs O((m + |M1|) log |M1|) whatever n is."""
     matched = M1.partner
     e2 = [e for e in edges
           if (e[0] in matched) != (e[1] in matched) and part.crosses(*e)]
@@ -261,7 +257,7 @@ def general_two_pass(edges: Sequence[Edge], eps: float, b: int = B_GENERAL,
     n = _vertex_range(edges, n)
     m1 = first_pass_matching(edges, eps / 4.0)
     part = random_bipartition(m1, n, seed)
-    m2, m1_hat = second_pass_general(edges, m1, part, b, n)
+    m2, m1_hat = second_pass_general(edges, m1, part, b)
     union = DynamicGraph(n)
     for (u, v) in m1.edges():
         union.insert(u, v)

@@ -9,8 +9,9 @@ from dynmatch.amm import (AMfM, AMMMaintainer, DynamicMaximalMatching, Kernel,
                           KernelValidationFailed, ValidationFailed,
                           edge_color_and_sparsify, fractional_provider,
                           greedy_level_coloring, high_degree_nodes, level_of,
-                          required_degree_bound, static_amm_from_kernel,
-                          validate_amfm, validate_kernel)
+                          level_ordered_kernel, required_degree_bound,
+                          static_amm_from_kernel, validate_amfm,
+                          validate_kernel)
 
 
 def build(n, edges):
@@ -208,7 +209,12 @@ def test_maintainer_small_size_branch():
     assert len(mnt.matching()) == 1
 
 
-def test_maintainer_rebuild_reports_validators():
+def live_and_maximal(g, m):
+    return (all(g.edge_exists(u, v) for (u, v) in m.edges())
+            and all(m.is_matched(u) or m.is_matched(v) for (u, v) in g.edges()))
+
+
+def test_maintainer_rebuild_report():
     g = DynamicGraph(50)
     mnt = AMMMaintainer(g, eps=0.2, seed=3)
     g.register(mnt)
@@ -217,6 +223,60 @@ def test_maintainer_rebuild_reports_validators():
         u, v = rng.randrange(50), rng.randrange(50)
         if u != v and not g.edge_exists(u, v):
             g.insert(u, v)
-    rep = mnt.last_rebuild_report
-    assert rep["kernel_ok"] and rep["amfm_ok"]
     assert mnt.rebuild_count > 0
+    mnt.rebuild()
+    rep = mnt.last_rebuild_report
+    assert rep["branch"] == "kernel" and rep["kernel_edges"] == g.m
+    kern = level_ordered_kernel(g, 0.2)
+    assert validate_kernel(g, kern)["ok"]
+    assert rep["high_degree"] == len(high_degree_nodes(kern))
+    assert live_and_maximal(g, mnt.matching())
+
+
+def equality_cases():
+    """Seeded graphs: random graphs of several densities, complete graphs
+    and stars (where the provider's d equals the maximum degree)."""
+    rng = random.Random(11)
+    for n in (2, 3, 10, 60, 300):
+        if n <= 60:
+            yield f"complete-{n}", n, [(u, v) for u in range(n)
+                                       for v in range(u + 1, n)]
+        yield f"star-{n}", n, [(0, v) for v in range(1, n)]
+        for p in ((0.01, 0.03, 0.08) if n == 300 else (0.05, 0.3, 0.8)):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p]
+            rng.shuffle(edges)
+            yield f"random-{n}-{p}", n, edges
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.5, 0.99])
+def test_rebuild_equals_library_pipeline(eps):
+    """The maintainer's kernel branch must extract exactly what the library
+    pipeline provider -> sparsifier -> extraction produces: the same kernel
+    (edge order and d), matching edges in order, and witness."""
+    kernel_rebuilds = 0
+    for name, n, edges in equality_cases():
+        g = build(n, edges)
+        ref_kern = edge_color_and_sparsify(g, fractional_provider(g, eps), eps)
+        ref = static_amm_from_kernel(g, ref_kern, eps)
+        kern = level_ordered_kernel(g, eps)
+        assert (kern.edges, kern.d, kern.eps) == \
+            (ref_kern.edges, ref_kern.d, ref_kern.eps), name
+        mnt = AMMMaintainer(g, eps=eps)
+        # the branch test reads only the matching's size, so a placeholder
+        # of size >= 1/(2*eps) sends the rebuild to the kernel branch at
+        # every n
+        mnt.m = Matching((n + 2 * i, n + 2 * i + 1)
+                         for i in range(math.ceil(0.5 / eps)))
+        mnt.rebuild()
+        rep = mnt.last_rebuild_report
+        if not g.m:
+            assert rep["empty"], name
+            continue
+        kernel_rebuilds += 1
+        assert rep["branch"] == "kernel", name
+        assert rep["kernel_edges"] == g.m, name
+        assert rep["high_degree"] == len(high_degree_nodes(ref_kern)), name
+        assert mnt.matching().edges() == ref.matching.edges(), name
+        assert mnt.state.witness == ref.witness, name
+    assert kernel_rebuilds >= 20

@@ -34,6 +34,9 @@ def test_config_derived_constants():
             EstimatorConfig(mode="tradeoff", eps=0.05, alpha=bad)
     with pytest.raises(ValueError):
         EstimatorConfig(mode="nope", eps=0.1)
+    for bad in (-0.1, 0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            EstimatorConfig(mode="bipartite", eps=bad)
 
 
 def test_contracted_member_self_pair_suppressed():

@@ -164,7 +164,7 @@ def test_disjoint_paths_size_and_disjointness():
                 edges.append((u, v))
         m1 = first_pass_matching(edges)
         part = random_bipartition(m1, n, trial)
-        m2, m1_hat = second_pass_general(edges, m1, part, B_GENERAL, n)
+        m2, m1_hat = second_pass_general(edges, m1, part, B_GENERAL)
         paths = disjoint_augmenting_paths(m1_hat, m1, m2)
         assert len(paths) >= len(m1_hat) / B_GENERAL - 1e-9
         used = set()
@@ -272,7 +272,7 @@ def test_sparse_passes_bit_identical_to_dense_reference():
         assert part.side == side
         for b in (1, B_GENERAL):
             part = random_bipartition(m1, n, seed)
-            m2, m1_hat = second_pass_general(edges, m1, part, b, n)
+            m2, m1_hat = second_pass_general(edges, m1, part, b)
             ref_m2, ref_hat = dense_second_pass_general(edges, m1, side, b, n)
             assert list(m2.mult.items()) == list(ref_m2.mult.items())
             assert m1_hat == ref_hat
