@@ -320,11 +320,10 @@ class AMMMaintainer(DynamicMaximalMatching):
     <=3-approximation since the live matching is maximal); at the end of
     every epoch `rebuild` recomputes the matching from the live graph and
     swaps it in. The latest rebuild's branch and sizes are kept for
-    checkpoint audits. `seed` is accepted for callers that seed every
-    component; no rebuild draws randomness.
+    checkpoint audits.
     """
 
-    def __init__(self, g: DynamicGraph, eps: float, seed: int = 0):
+    def __init__(self, g: DynamicGraph, eps: float):
         super().__init__(g)
         self.eps = eps
         self.witness: Set[int] = set()

@@ -8,7 +8,6 @@ given the seed.
 from __future__ import annotations
 
 import hashlib
-import struct
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -28,28 +27,38 @@ class RankFunction:
     """Deterministic map from an edge name to a rank in [0, 1).
 
     Stands in for a uniformly random edge permutation: i.i.d. 64-bit ranks
-    from a seeded PRF of the (canonicalized) edge name, ties broken by
+    from a seeded PRF of the canonicalized edge name, ties broken by
     lexicographic name order via sort_key. Works for plain integer pairs and
     for structured names (supergraph vertices), so the local oracle never has
     to materialize a permutation.
+
+    The canonical name puts the endpoints in `repr` order (`canonical`), and
+    the PRF input is that name's `repr`. `sort_key` builds it from one `repr`
+    per endpoint and hashes it once.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._key = seed.to_bytes(16, "little", signed=True)
+        # keyed once; each hash continues from a copy of this state
+        self._prf = hashlib.blake2b(
+            digest_size=8, key=seed.to_bytes(16, "little", signed=True))
 
     @staticmethod
-    def _canon(a, b) -> Tuple:
+    def canonical(a, b) -> Tuple:
         return (a, b) if repr(a) <= repr(b) else (b, a)
 
     def rank(self, a, b) -> float:
-        name = self._canon(a, b)
-        h = hashlib.blake2b(repr(name).encode(), digest_size=8, key=self._key)
-        (word,) = struct.unpack("<Q", h.digest())
-        return word / 2.0**64
+        return self.sort_key(a, b)[0]
 
     def sort_key(self, a, b):
-        return (self.rank(a, b), self._canon(a, b))
+        ra, rb = repr(a), repr(b)
+        name = (a, b)
+        if rb < ra:
+            ra, rb, name = rb, ra, (b, a)
+        # f"({ra}, {rb})" == repr(name) for a 2-tuple
+        h = self._prf.copy()
+        h.update(f"({ra}, {rb})".encode())
+        return (int.from_bytes(h.digest(), "little") / 2.0**64, name)
 
 
 # -- exact maximum matching ------------------------------------------------

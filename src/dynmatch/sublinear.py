@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -153,15 +155,11 @@ class ImplicitSupergraph:
         for i in range(self.n):
             for j in range(1, self.n + 1):
                 y = self.list_query(("v", i), j)
-                edges.add(_canon_h(("v", i), y))
+                edges.add(RankFunction.canonical(("v", i), y))
             for j in range(1, self.n + self.s + 1):
                 y = self.list_query(("vs", i), j)
-                edges.add(_canon_h(("vs", i), y))
+                edges.add(RankFunction.canonical(("vs", i), y))
         return verts, sorted(edges)
-
-
-def _canon_h(a, b):
-    return (a, b) if repr(a) <= repr(b) else (b, a)
 
 
 # -- local GMM status ------------------------------------------------------
@@ -174,6 +172,15 @@ class _LocalGMM:
     sharing an endpoint is not. Exploration visits incident edges in
     increasing rank and recurses only downward, so answers agree exactly with
     the global greedy matching under the same ranks.
+
+    Each simulator memoizes, for its lifetime, every edge verdict and every
+    fetched vertex's rank-sorted incidence (its ranks in an `array('d')` and
+    its neighbours in the same order); the host must not change meanwhile.
+    The lower-rank edges at an endpoint are then a prefix of its incidence,
+    found by bisection. A probe budget therefore counts only the probes a
+    query spends on incidences its simulator has not fetched before, so a
+    query that reuses earlier queries' work breaches less often than it
+    would alone.
     """
 
     def __init__(self, host, ranks: RankFunction,
@@ -183,7 +190,9 @@ class _LocalGMM:
         self.ranks = ranks
         self.budget = budget
         self.probe_source = probe_source
+        # verdicts keyed by both orientations of each edge
         self.edge_memo: Dict[Tuple, bool] = {}
+        self._incidence_memo: Dict = {}
         self._probe_floor = 0
 
     def _check_budget(self) -> None:
@@ -194,30 +203,42 @@ class _LocalGMM:
                 raise BudgetExceeded(f"{spent} probes > cap "
                                      f"{self.budget.max_probes}")
 
-    def _sorted_incident(self, x) -> List[Tuple]:
-        neigh = self.host.neighbors_of(x)
-        return sorted(((x, y) for y in neigh),
-                      key=lambda e: self.ranks.sort_key(*e))
+    def _incidence(self, x) -> Tuple[array, List]:
+        """x's neighbours in increasing sort_key order of the edge (x, y),
+        with the rank of each edge."""
+        inc = self._incidence_memo.get(x)
+        if inc is None:
+            key = self.ranks.sort_key
+            keyed = sorted((key(x, y), y) for y in self.host.neighbors_of(x))
+            inc = (array("d", [k[0] for k, _ in keyed]),
+                   [y for _, y in keyed])
+            self._incidence_memo[x] = inc
+        return inc
+
+    def _lower_prefix(self, x, my_key) -> Tuple[array, List, int]:
+        """x's incidence and the length of its prefix of edges whose
+        sort_key is below my_key; equal ranks are settled by the full key."""
+        ranks, neigh = self._incidence(x)
+        r = my_key[0]
+        end = bisect_left(ranks, r)
+        while (end < len(ranks) and ranks[end] == r
+               and self.ranks.sort_key(x, neigh[end]) < my_key):
+            end += 1
+        return ranks, neigh, end
 
     def edge_in_matching(self, e: Tuple) -> bool:
-        key = self.ranks._canon(*e)
         memo = self.edge_memo
-        if key in memo:
-            return memo[key]
-        # explicit stack of (edge, merged lower-rank neighbor list, cursor)
+        if e in memo:
+            return memo[e]
+        # explicit stack of (edge, merged lower-rank edge list, cursor)
         stack = [self._frame(e)]
         while stack:
             edge, lower, idx = stack[-1]
-            k = self.ranks._canon(*edge)
-            if k in memo:
-                stack.pop()
-                continue
             verdict = None
             while idx[0] < len(lower):
                 f = lower[idx[0]]
-                fk = self.ranks._canon(*f)
-                if fk in memo:
-                    if memo[fk]:
+                if f in memo:
+                    if memo[f]:
                         verdict = False
                         break
                     idx[0] += 1
@@ -227,21 +248,35 @@ class _LocalGMM:
             else:
                 verdict = True
             if verdict is not None:
-                memo[k] = verdict
+                memo[edge] = memo[edge[1], edge[0]] = verdict
                 stack.pop()
-        return memo[key]
+        return memo[e]
 
     def _frame(self, e: Tuple):
         self._check_budget()
-        my_key = self.ranks.sort_key(*e)
-        lower = [f for x in e for f in self._sorted_incident(x)
-                 if self.ranks.sort_key(*f) < my_key]
-        lower.sort(key=lambda f: self.ranks.sort_key(*f))
+        a, b = e
+        my_key = self.ranks.sort_key(a, b)
+        ra, na, ea = self._lower_prefix(a, my_key)
+        rb, nb, eb = self._lower_prefix(b, my_key)
+        # merge the two sorted prefixes by sort_key
+        lower = []
+        i = j = 0
+        while i < ea and j < eb:
+            if ra[i] < rb[j] or (
+                    ra[i] == rb[j] and self.ranks.sort_key(a, na[i])
+                    < self.ranks.sort_key(b, nb[j])):
+                lower.append((a, na[i]))
+                i += 1
+            else:
+                lower.append((b, nb[j]))
+                j += 1
+        lower.extend((a, y) for y in na[i:ea])
+        lower.extend((b, y) for y in nb[j:eb])
         return (e, lower, [0])
 
     def vertex_matched(self, x) -> bool:
-        for e in self._sorted_incident(x):
-            if self.edge_in_matching(e):
+        for y in self._incidence(x)[1]:
+            if self.edge_in_matching((x, y)):
                 return True
         return False
 

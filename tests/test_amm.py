@@ -165,7 +165,7 @@ def test_dynamic_maximal_matching_repair():
 
 def test_maintainer_insert_only_disjoint():
     g = DynamicGraph(400)
-    mnt = AMMMaintainer(g, eps=0.2, seed=0)
+    mnt = AMMMaintainer(g, eps=0.2)
     g.register(mnt)
     for i in range(200):
         g.insert(i, 200 + i)
@@ -178,7 +178,7 @@ def test_maintainer_insert_only_disjoint():
 
 def test_maintainer_survives_matched_edge_deletions():
     g = DynamicGraph(60)
-    mnt = AMMMaintainer(g, eps=0.2, seed=1)
+    mnt = AMMMaintainer(g, eps=0.2)
     g.register(mnt)
     rng = random.Random(2)
     live = set()
@@ -197,7 +197,7 @@ def test_maintainer_survives_matched_edge_deletions():
 
 def test_maintainer_small_size_branch():
     g = DynamicGraph(10)
-    mnt = AMMMaintainer(g, eps=0.4, seed=0)
+    mnt = AMMMaintainer(g, eps=0.4)
     g.register(mnt)
     g.insert(0, 1)
     g.insert(2, 3)
@@ -216,7 +216,7 @@ def live_and_maximal(g, m):
 
 def test_maintainer_rebuild_report():
     g = DynamicGraph(50)
-    mnt = AMMMaintainer(g, eps=0.2, seed=3)
+    mnt = AMMMaintainer(g, eps=0.2)
     g.register(mnt)
     rng = random.Random(7)
     for _ in range(300):

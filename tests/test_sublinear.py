@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import struct
 
 import pytest
 
@@ -219,3 +221,73 @@ def test_sampling_path_agrees_with_materialized_reference():
                                       budget=BIG, force_sampling=True)
         assert kappa <= exact + 1e-9
         assert kappa >= exact - eps**2 * n - 1e-9
+
+
+def _reference_sort_key(seed, a, b):
+    """The rank formula spelled out: repr-ordered name, PRF of its repr."""
+    name = (a, b) if repr(a) <= repr(b) else (b, a)
+    h = hashlib.blake2b(repr(name).encode(), digest_size=8,
+                        key=seed.to_bytes(16, "little", signed=True))
+    (word,) = struct.unpack("<Q", h.digest())
+    return (word / 2.0**64, name)
+
+
+def test_sort_key_matches_reference_formula():
+    names = ([("v", i) for i in (0, 3, 11)] + [("vs", i) for i in (0, 3, 11)]
+             + [("w", i, j) for i in (0, 2) for j in (1, 10)]
+             + [("u", i, j) for i in (0, 2) for j in (1, 100)])
+    for seed in (0, 7, -1, -(2**120), 2**100 + 3):
+        r = RankFunction(seed)
+        pairs = [(a, b) for a in range(12) for b in range(12)]
+        pairs += [(a, b) for a in names for b in names]
+        for (a, b) in pairs:
+            want = _reference_sort_key(seed, a, b)
+            assert r.sort_key(a, b) == want
+            assert r.sort_key(b, a) == want
+            assert r.rank(a, b) == want[0]
+
+
+class _FourRanks(RankFunction):
+    """Ranks floored to a multiple of 1/4, so most edges tie on rank and
+    order by name."""
+
+    def sort_key(self, a, b):
+        r, name = super().sort_key(a, b)
+        return (math.floor(r * 4) / 4, name)
+
+
+def test_local_status_under_rank_ties():
+    rng = random.Random(44)
+    for trial in range(6):
+        n = rng.randrange(3, 11)
+        g = DynamicGraph(n)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.4:
+                    g.insert(u, v)
+        ranks = _FourRanks(trial)
+        o = AdjacencyOracle(g)
+        h = ImplicitSupergraph(o, 0.9)
+        matched, _ = _materialized_h_gmm(h, ranks)
+        sim = _LocalGMM(h, ranks, BIG, o)
+        for i in range(n):
+            for x in (("v", i), ("vs", i)):
+                sim.begin_query()
+                assert sim.vertex_matched(x) == (x in matched)
+        gm = oracles.greedy_maximal_matching(g, ranks)
+        base = _LocalGMM(_GraphListHost(g), ranks, BIG)
+        for v in range(n):
+            assert base.vertex_matched(v) == gm.is_matched(v)
+
+
+def test_repeated_query_spends_no_probes():
+    g = build(6, [(0, 1), (1, 2), (3, 4)])
+    o = AdjacencyOracle(g)
+    sim = _LocalGMM(ImplicitSupergraph(o, 0.9), RankFunction(3), BIG, o)
+    sim.begin_query()
+    first = sim.vertex_matched(("v", 0))
+    assert o.probes > 0
+    before = o.probes
+    sim.begin_query()
+    assert sim.vertex_matched(("v", 0)) == first
+    assert o.probes == before
