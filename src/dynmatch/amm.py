@@ -90,7 +90,7 @@ def provider_degree_bound(g: DynamicGraph, eps: float) -> int:
     It is never below the maximum degree, so every level's color sample in
     `edge_color_and_sparsify` covers the level's whole palette."""
     n = g.n
-    max_deg = max((g.degree(v) for v in range(n)), default=0)
+    max_deg = max(map(len, g.adj), default=0)
     d = max(required_degree_bound(n, 1.0 + 2.0 * eps, eps), max_deg + 1)
     if n >= 3:
         d = min(d, n - 1)
@@ -232,9 +232,25 @@ def level_ordered_kernel(g: DynamicGraph, eps: float) -> Kernel:
     AMfM, built straight from the live graph. Under `provider_degree_bound`
     every level is taken wholesale, so that kernel is every edge ordered by
     the level of its spread value, ascending, in insertion order within a
-    level (the sort is stable)."""
-    edges = sorted(g.edges(), key=lambda e: level_of(spread_value(g, e), eps))
-    return Kernel(edges=edges, d=provider_degree_bound(g, eps), eps=eps)
+    level. The level depends only on d = max(deg u, deg v), so it is computed
+    once per distinct d, and one pass over the edges buckets them by level
+    and reads the kernel's degrees from the adjacency."""
+    adj = g.adj
+    degrees: Dict[int, int] = {}
+    levels: Dict[int, List[Edge]] = {}
+    bucket_of: Dict[int, List[Edge]] = {}
+    for e in g.edges():
+        du = degrees[e[0]] = len(adj[e[0]])
+        dv = degrees[e[1]] = len(adj[e[1]])
+        d = du if du > dv else dv
+        bucket = bucket_of.get(d)
+        if bucket is None:
+            # 1.0 / d is the float `spread_value` gives
+            bucket = bucket_of[d] = levels.setdefault(
+                level_of(1.0 / d, eps), [])
+        bucket.append(e)
+    return Kernel(edges=[e for i in sorted(levels) for e in levels[i]],
+                  d=provider_degree_bound(g, eps), eps=eps, degrees=degrees)
 
 
 # -- static matching extraction -------------------------------------------
@@ -253,10 +269,13 @@ def high_degree_nodes(k: Kernel) -> List[int]:
     return [v for v, dv in k.degrees.items() if dv >= threshold]
 
 
-def static_amm_from_kernel(g: DynamicGraph, k: Kernel, eps: float) -> AMMState:
+def static_amm_from_kernel(g: DynamicGraph, k: Kernel, eps: float,
+                           hk: Optional[Set[int]] = None) -> AMMState:
     """Max-weight matching under w_e = |e cut high-degree set|, extended to a
-    maximal matching of the kernel; witness = unmatched high-degree nodes."""
-    hk = set(high_degree_nodes(k))
+    maximal matching of the kernel; witness = unmatched high-degree nodes.
+    `hk` is the kernel's high-degree set when the caller has computed it."""
+    if hk is None:
+        hk = set(high_degree_nodes(k))
     m = Matching()
     if hk:
         gx = nx.Graph()
@@ -382,9 +401,10 @@ class AMMMaintainer(DynamicMaximalMatching):
             report.update(branch="small-direct", kernel_edges=g.m)
         else:
             kern = level_ordered_kernel(g, self.eps)
-            state = static_amm_from_kernel(g, kern, self.eps)
+            hk = set(high_degree_nodes(kern))
+            state = static_amm_from_kernel(g, kern, self.eps, hk)
             self.m, self.witness = state.matching, state.witness
             report.update(branch="kernel", kernel_edges=len(kern.edges),
-                          high_degree=len(high_degree_nodes(kern)))
+                          high_degree=len(hk))
         self._set_epoch_length()
         self.last_rebuild_report = report

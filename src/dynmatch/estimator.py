@@ -1,11 +1,13 @@
 """Top-level dynamic matching-size estimators.
 
 A contraction family routes every update to a set of contracted copies of the
-graph at geometrically spaced scales; each copy that clears its size threshold
-is queried and the maximum estimate is served. Queries reuse the two-pass
-machinery: the bipartite mixing formula, the bipartition/b-matching count for
-general graphs, and the matching combiner for the approximation/maximality
-tradeoff.
+graph at geometrically spaced scales; the maximum estimate over the copies that
+clear their size thresholds is served. A copy's value can never exceed a fixed
+multiple of its first matching's size, so copies are queried largest matching
+first and the scan stops once that bound falls below the best value found.
+Queries reuse the two-pass machinery: the bipartite mixing formula, the
+bipartition/b-matching count for general graphs, and the matching combiner for
+the approximation/maximality tradeoff.
 """
 
 from __future__ import annotations
@@ -85,7 +87,9 @@ class ContractedMember:
     """One contracted copy: vertices hashed into buckets, an edge between two
     buckets exists iff its preimage multiset is nonempty. Bucket self-pairs
     are suppressed. A locally repaired maximal matching supplies the member's
-    running size estimate."""
+    running size estimate. `last_served_at` is refreshed at every estimate
+    that serves the member; `last_value` only when the estimate queries it,
+    which it skips once the member cannot beat the best value."""
 
     def __init__(self, scale: int, buckets: int, seed: int):
         self.scale = scale
@@ -264,8 +268,14 @@ class Estimator:
     contraction family, and (in tradeoff mode) the 2-approximation source.
 
     estimate() is read-only, available after every update, and serves the
-    maximum over all members above their size thresholds; when every member
-    is below threshold but the graph is nonempty, the live graph is queried
+    maximum over the identity scale and the members above their size
+    thresholds. The identity is queried first when it clears its threshold;
+    members follow in descending order of first-matching size, and the scan
+    stops at the first member whose `_value_bound` is below the best value,
+    since no later member can reach it. Ties go to the identity, then to the
+    earliest member in `served_members()` order, so the served estimate is
+    the one a full scan in that order would serve. When every member is
+    below threshold but the graph is nonempty, the live graph is queried
     anyway and the estimate flagged (threshold hysteresis window)."""
 
     def __init__(self, n: int, cfg: EstimatorConfig):
@@ -319,6 +329,22 @@ class Estimator:
         return (statistics.fmean(vals), vals,
                 {"m1": len(m1), "kappa": last_kappa})
 
+    def _value_bound(self, m1_size: int) -> float:
+        """An upper bound on any value `_member_value` returns for a first
+        matching of m1_size edges. General and tradeoff modes: each
+        repetition is |M1| + kappa/b with kappa <= |M1|. Bipartite mode: each
+        M2 copy uses a unit of cap k at one of the 2|M1| matched vertices, so
+        (1-delta)|M1| + (delta/k)|M2| <= (1+delta)|M1|; the odd-cycle
+        fallback is |M1|. The 1e-9 relative margin covers the rounding of the
+        value's float arithmetic."""
+        cfg = self.cfg
+        if cfg.mode == "bipartite":
+            growth = 1.0 + cfg.spc.delta
+        else:
+            b = cfg.b_general if cfg.mode == "general" else cfg.b_star
+            growth = 1.0 + 1.0 / b
+        return growth * m1_size * (1.0 + 1e-9)
+
     def _live_matching(self) -> Matching:
         m1 = self.amm.matching()
         if self.cfg.mode == "tradeoff" and self.alpha_source is not None:
@@ -332,20 +358,34 @@ class Estimator:
         best = 0.0
         best_reps: List[float] = []
         best_comp: Dict[str, float] = {}
+        # list position of the winner: -1 for the identity, None for none yet
+        best_pos: Optional[int] = None
         identity_served = (2 * len(self.amm.matching())
                            >= self.family.identity_threshold)
         if identity_served:
             nu, reps, comp = self._member_value(
                 self.g, self._live_matching(), stamp)
             comp["scale"] = -1
-            best, best_reps, best_comp = nu, reps, comp
-        for mem in self.family.served_members():
+            best, best_reps, best_comp, best_pos = nu, reps, comp, -1
+        served = self.family.served_members()
+        for mem in served:
+            mem.last_served_at = stamp
+        # largest first matchings first (stable): once a member's bound is
+        # below the best value, so is every later member's
+        order = sorted(range(len(served)),
+                       key=lambda i: -len(served[i].matcher.m))
+        for pos in order:
+            mem = served[pos]
+            if self._value_bound(len(mem.matcher.m)) < best:
+                break
             nu, reps, comp = self._member_value(mem.cg, mem.matcher.m, stamp)
             mem.last_value = nu
-            mem.last_served_at = stamp
-            if nu > best:
+            # ties go to the identity, then to the earliest member in list
+            # order: the winner of a full scan in that order
+            if nu > best or (nu == best and best_pos is not None
+                             and best_pos > pos):
                 comp["scale"] = mem.scale
-                best, best_reps, best_comp = nu, reps, comp
+                best, best_reps, best_comp, best_pos = nu, reps, comp, pos
         if best == 0.0:
             # hysteresis window: nonempty graph but every member below
             # threshold; serve the live graph and flag it
