@@ -2,20 +2,20 @@
 
 Maintains a value nu with nu <= mu(G) <= alpha * nu, alpha ~ 1.707 + eps on
 bipartite graphs and ~1.973 + eps in general, via approximately-maximal
-matchings, two-pass augmentation counting, and graph contractions.
+matchings and two-pass augmentation counting over the live graph.
 """
 
 from .graph import (BMatching, DynamicGraph, FractionalMatching, Matching,
                     UpdateEvent, norm_edge, read_stream, write_stream)
-from .estimator import (AlphaOutOfRange, ContractionFamily, Estimator,
-                        EstimatorConfig, SizeEstimate, bipartite_query,
-                        combine_amm_and_alpha, general_query)
+from .estimator import (AlphaOutOfRange, Estimator, EstimatorConfig,
+                        SizeEstimate, bipartite_query, combine_amm_and_alpha,
+                        general_query)
 from .streaming import bipartite_two_pass, general_two_pass
 
 __all__ = [
     "BMatching", "DynamicGraph", "FractionalMatching", "Matching",
     "UpdateEvent", "norm_edge", "read_stream", "write_stream",
-    "AlphaOutOfRange", "ContractionFamily", "Estimator", "EstimatorConfig",
+    "AlphaOutOfRange", "Estimator", "EstimatorConfig",
     "SizeEstimate", "bipartite_query", "combine_amm_and_alpha",
     "general_query", "bipartite_two_pass", "general_two_pass",
 ]

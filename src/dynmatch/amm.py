@@ -302,8 +302,8 @@ class DynamicMaximalMatching:
     rematch both endpoints against their free neighbors. Maximality is
     preserved exactly (every uncovered edge would have had a free endpoint
     pair, which the repair rule eliminates). `AMMMaintainer` inherits this
-    rule; the estimator's contraction members and tradeoff source use it
-    directly.
+    rule; the estimator's tradeoff source and the contracted copies of the
+    contraction library use it directly.
     """
 
     def __init__(self, g: DynamicGraph):

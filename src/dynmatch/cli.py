@@ -50,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--reps", type=int, default=1)
     run.add_argument("--alpha", type=float, default=2.0)
     run.add_argument("--n", type=int, required=True)
-    run.add_argument("--oracle-every", type=int, default=0)
+    run.add_argument("--oracle-every", type=int, default=0,
+                     help="attach the exact maximum matching size to every "
+                          "N-th report row (0: none)")
     run.add_argument("--query-every", type=int, default=0)
     run.add_argument("--report", required=True)
 

@@ -1,13 +1,15 @@
 """Top-level dynamic matching-size estimators.
 
-A contraction family routes every update to a set of contracted copies of the
-graph at geometrically spaced scales; the maximum estimate over the copies that
-clear their size thresholds is served. A copy's value can never exceed a fixed
-multiple of its first matching's size, so copies are queried largest matching
-first and the scan stops once that bound falls below the best value found.
-Queries reuse the two-pass machinery: the bipartite mixing formula, the
-bipartition/b-matching count for general graphs, and the matching combiner for
-the approximation/maximality tradeoff.
+Every estimate queries the live graph, with the maintained approximately-
+maximal matching as the first matching M1, through the two-pass machinery:
+the bipartite mixing formula (floored at |M1|, which is itself a certified
+lower bound), the bipartition/b-matching count for general graphs, and the
+matching combiner for the approximation/maximality tradeoff.
+
+The paper's hash-contracted graph copies stay below as a tested library.
+They exist so that a sampled query costs time tracking mu; here queries
+replay the live edge set exactly, so on the served path they would only add
+routing work to every update.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class EstimatorConfig:
     seed: int = 0
     reps: int = 1
     alpha: float = 2.0
-    contraction_reps: int = 3
 
     def __post_init__(self):
         if self.mode not in ("bipartite", "general", "tradeoff"):
@@ -69,7 +70,7 @@ class EstimatorConfig:
 class SizeEstimate:
     nu: float
     timestamp: int
-    components: Dict[str, float] = field(default_factory=dict)
+    components: Dict[str, object] = field(default_factory=dict)
     rep_values: List[float] = field(default_factory=list)
 
     def __post_init__(self):
@@ -87,9 +88,7 @@ class ContractedMember:
     """One contracted copy: vertices hashed into buckets, an edge between two
     buckets exists iff its preimage multiset is nonempty. Bucket self-pairs
     are suppressed. A locally repaired maximal matching supplies the member's
-    running size estimate. `last_served_at` is refreshed at every estimate
-    that serves the member; `last_value` only when the estimate queries it,
-    which it skips once the member cannot beat the best value."""
+    first matching."""
 
     def __init__(self, scale: int, buckets: int, seed: int):
         self.scale = scale
@@ -101,8 +100,6 @@ class ContractedMember:
         self.pre: Dict[Edge, int] = {}
         self.matcher = DynamicMaximalMatching(self.cg)
         self.cg.register(self.matcher)
-        self.last_value = 0.0
-        self.last_served_at = -1
 
     def bucket(self, v: int) -> int:
         return ((self._a * v + self._b) % _HASH_PRIME) % self.buckets
@@ -122,9 +119,6 @@ class ContractedMember:
                 del self.pre[key]
                 self.cg.delete(*key)
 
-    def mu_tilde(self) -> int:
-        return 2 * len(self.matcher.m)
-
     def preimage_audit(self, g: DynamicGraph) -> bool:
         """Full-sweep check: preimage multiplicities match the live graph."""
         fresh: Dict[Edge, int] = {}
@@ -141,9 +135,9 @@ class ContractedMember:
 class ContractionFamily:
     """Members at scales k = ceil((1+eps)^j); a member's bucket count is
     min(n, ceil(k/eps_b)) with eps_b = eps/16. Scales whose bucket count
-    reaches n are identity contractions and collapse into the single shared
-    live graph, so only the few smallest scales materialize. Registered as a
-    graph listener; each update routes to every member."""
+    reaches n are identity contractions and need no copy, so only the few
+    smallest scales materialize. Registered as a graph listener; each update
+    routes to every member."""
 
     def __init__(self, n: int, eps: float, seed: int,
                  reps_per_scale: int = 3):
@@ -160,31 +154,19 @@ class ContractionFamily:
                 scales.append(k)
             j += 1
             k = math.ceil((1 + eps) ** j)
-        self.identity_scales: List[int] = []
         for k in scales:
             buckets = min(n, math.ceil(k / self.eps_b))
             if buckets >= n:
-                self.identity_scales.append(k)
                 continue
             for r in range(reps_per_scale):
                 self.members.append(ContractedMember(
                     k, buckets, seed * 7919 + k * 131 + r))
-        self.identity_threshold = n * self.eps_b
-        self.work = 0
 
     def on_update(self, g: DynamicGraph, ev: UpdateEvent) -> None:
         if ev.kind == "q":
             return
-        self.work += 1 + len(self.members)
         for mem in self.members:
             mem.apply(ev)
-
-    def served_members(self) -> List[ContractedMember]:
-        out = []
-        for mem in self.members:
-            if mem.mu_tilde() >= mem.buckets * self.eps_b:
-                out.append(mem)
-        return out
 
     def audit(self, g: DynamicGraph) -> bool:
         return all(mem.preimage_audit(g) for mem in self.members)
@@ -197,8 +179,8 @@ def bipartite_query(g: DynamicGraph, m1: Matching,
                     spc: SecondPassConfig) -> Tuple[float, float]:
     """(1-delta)|M1| + (delta/k)*psi with psi computed exactly by the
     saturating second pass over the live edge set (query-time replay). Falls
-    back to |M1| if the graph is not 2-colorable (contracted copies can lose
-    bipartiteness); that is still a valid lower bound."""
+    back to |M1| if the graph is not 2-colorable; that is still a valid lower
+    bound."""
     if oracles.bipartition(g) is None:
         return float(len(m1)), 0.0
     nu, m2 = second_pass_bipartite(g.snapshot_edges(), m1, spc)
@@ -264,28 +246,22 @@ def _mix(seed: int, rep: int, stamp: int) -> int:
 
 
 class Estimator:
-    """Dynamic size estimator: owns the graph, the matching maintainer, the
-    contraction family, and (in tradeoff mode) the 2-approximation source.
+    """Dynamic size estimator: owns the graph, the matching maintainer, and
+    (in tradeoff mode) the 2-approximation source.
 
-    estimate() is read-only, available after every update, and serves the
-    maximum over the identity scale and the members above their size
-    thresholds. The identity is queried first when it clears its threshold;
-    members follow in descending order of first-matching size, and the scan
-    stops at the first member whose `_value_bound` is below the best value,
-    since no later member can reach it. Ties go to the identity, then to the
-    earliest member in `served_members()` order, so the served estimate is
-    the one a full scan in that order would serve. When every member is
-    below threshold but the graph is nonempty, the live graph is queried
-    anyway and the estimate flagged (threshold hysteresis window)."""
+    estimate() is read-only, available after every update, and queries the
+    live graph once, with the maintained matching as M1 (combined with the
+    2-approximation in tradeoff mode). In bipartite mode it serves
+    max((1-delta)|M1| + (delta/k)|M2|, |M1|): both terms are at most mu
+    because M1 is a live matching, and the max is at least the paper's
+    value, so its approximation bound stands. `components["bound"]` names
+    the term that served ("mix" or "m1")."""
 
     def __init__(self, n: int, cfg: EstimatorConfig):
         self.cfg = cfg
         self.g = DynamicGraph(n)
         self.amm = AMMMaintainer(self.g, eps=cfg.eps)
         self.g.register(self.amm)
-        self.family = ContractionFamily(n, cfg.eps, cfg.seed,
-                                        cfg.contraction_reps)
-        self.g.register(self.family)
         self.query_work = 0
         self.alpha_source: Optional[DynamicMaximalMatching] = None
         if cfg.mode == "tradeoff":
@@ -303,47 +279,11 @@ class Estimator:
         self.g.apply(ev)
 
     def total_work(self) -> int:
-        """Aggregate touch count: maintainer, routing, and query work — the
-        per-update cost measure of the scaling report."""
-        return self.amm.work + self.family.work + self.query_work
+        """Aggregate touch count: maintainer and query work — the per-update
+        cost measure of the scaling report."""
+        return self.amm.work + self.query_work
 
     # -- queries -----------------------------------------------------------
-
-    def _member_value(self, graph: DynamicGraph, m1: Matching,
-                      stamp: int) -> Tuple[float, List[float], Dict[str, float]]:
-        cfg = self.cfg
-        if cfg.mode == "bipartite":
-            self.query_work += graph.m + graph.n
-            nu, psi = bipartite_query(graph, m1, cfg.spc)
-            # each draw is deterministic; repetitions agree, median = value
-            return nu, [nu] * cfg.reps, {"m1": len(m1), "psi": psi}
-        b = cfg.b_general if cfg.mode == "general" else cfg.b_star
-        # a general pass touches the edges and the matched ids, not all of [n]
-        self.query_work += (graph.m + len(m1)) * cfg.reps
-        vals = []
-        last_kappa = 0
-        for r in range(cfg.reps):
-            nu_r, last_kappa = general_query(
-                graph, m1, b, _mix(cfg.seed, r, stamp))
-            vals.append(nu_r)
-        return (statistics.fmean(vals), vals,
-                {"m1": len(m1), "kappa": last_kappa})
-
-    def _value_bound(self, m1_size: int) -> float:
-        """An upper bound on any value `_member_value` returns for a first
-        matching of m1_size edges. General and tradeoff modes: each
-        repetition is |M1| + kappa/b with kappa <= |M1|. Bipartite mode: each
-        M2 copy uses a unit of cap k at one of the 2|M1| matched vertices, so
-        (1-delta)|M1| + (delta/k)|M2| <= (1+delta)|M1|; the odd-cycle
-        fallback is |M1|. The 1e-9 relative margin covers the rounding of the
-        value's float arithmetic."""
-        cfg = self.cfg
-        if cfg.mode == "bipartite":
-            growth = 1.0 + cfg.spc.delta
-        else:
-            b = cfg.b_general if cfg.mode == "general" else cfg.b_star
-            growth = 1.0 + 1.0 / b
-        return growth * m1_size * (1.0 + 1e-9)
 
     def _live_matching(self) -> Matching:
         m1 = self.amm.matching()
@@ -351,47 +291,32 @@ class Estimator:
             return combine_amm_and_alpha(m1, self.alpha_source.m)
         return m1
 
+    def _value(self, m1: Matching, stamp: int
+               ) -> Tuple[float, List[float], Dict[str, object]]:
+        cfg, g = self.cfg, self.g
+        if cfg.mode == "bipartite":
+            self.query_work += g.m + g.n
+            mix, psi = bipartite_query(g, m1, cfg.spc)
+            bound = "mix" if mix > len(m1) else "m1"
+            nu = max(mix, float(len(m1)))
+            # each draw is deterministic; repetitions agree, median = value
+            return nu, [nu] * cfg.reps, {"m1": len(m1), "psi": psi,
+                                         "bound": bound}
+        b = cfg.b_general if cfg.mode == "general" else cfg.b_star
+        # a general pass touches the edges and the matched ids, not all of [n]
+        self.query_work += (g.m + len(m1)) * cfg.reps
+        vals = []
+        last_kappa = 0
+        for r in range(cfg.reps):
+            nu_r, last_kappa = general_query(
+                g, m1, b, _mix(cfg.seed, r, stamp))
+            vals.append(nu_r)
+        return (statistics.fmean(vals), vals,
+                {"m1": len(m1), "kappa": last_kappa})
+
     def estimate(self) -> SizeEstimate:
         stamp = self.g.ops
         if self.g.m == 0:
             return SizeEstimate(0.0, stamp)
-        best = 0.0
-        best_reps: List[float] = []
-        best_comp: Dict[str, float] = {}
-        # list position of the winner: -1 for the identity, None for none yet
-        best_pos: Optional[int] = None
-        identity_served = (2 * len(self.amm.matching())
-                           >= self.family.identity_threshold)
-        if identity_served:
-            nu, reps, comp = self._member_value(
-                self.g, self._live_matching(), stamp)
-            comp["scale"] = -1
-            best, best_reps, best_comp, best_pos = nu, reps, comp, -1
-        served = self.family.served_members()
-        for mem in served:
-            mem.last_served_at = stamp
-        # largest first matchings first (stable): once a member's bound is
-        # below the best value, so is every later member's
-        order = sorted(range(len(served)),
-                       key=lambda i: -len(served[i].matcher.m))
-        for pos in order:
-            mem = served[pos]
-            if self._value_bound(len(mem.matcher.m)) < best:
-                break
-            nu, reps, comp = self._member_value(mem.cg, mem.matcher.m, stamp)
-            mem.last_value = nu
-            # ties go to the identity, then to the earliest member in list
-            # order: the winner of a full scan in that order
-            if nu > best or (nu == best and best_pos is not None
-                             and best_pos > pos):
-                comp["scale"] = mem.scale
-                best, best_reps, best_comp, best_pos = nu, reps, comp, pos
-        if best == 0.0:
-            # hysteresis window: nonempty graph but every member below
-            # threshold; serve the live graph and flag it
-            nu, reps, comp = self._member_value(
-                self.g, self._live_matching(), stamp)
-            comp["scale"] = -1
-            comp["hysteresis"] = 1
-            best, best_reps, best_comp = nu, reps, comp
-        return SizeEstimate(best, stamp, best_comp, best_reps)
+        nu, reps, comp = self._value(self._live_matching(), stamp)
+        return SizeEstimate(nu, stamp, comp, reps)

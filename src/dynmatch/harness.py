@@ -20,7 +20,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 from .graph import (DynamicGraph, Edge, UpdateEvent, format_event, norm_edge,
                     read_stream, write_stream)
 from . import oracles
-from .estimator import Estimator, EstimatorConfig
+from .estimator import Estimator, EstimatorConfig, SizeEstimate
 
 REPORT_VERSION = 1
 
@@ -272,10 +272,27 @@ def _exact_mu(g: DynamicGraph) -> Optional[int]:
         return None
 
 
+def _emit(result: RunResult, est: Estimator, se: SizeEstimate,
+          oracle_every: int) -> None:
+    """Append the row of `se`. Every `oracle_every`-th row (counting from 1;
+    0 for none) also carries the exact size, unless the oracle is out of
+    range for the graph."""
+    row: Dict[str, object] = {
+        "type": "row", "t": est.g.ops, "nu": se.nu,
+        "m1": se.components.get("m1", 0.0),
+    }
+    if oracle_every > 0 and (len(result.rows) + 1) % oracle_every == 0:
+        mu = _exact_mu(est.g)
+        if mu is not None:
+            row["mu"] = mu
+            row["ratio"] = (mu / se.nu) if se.nu > 0 else None
+    result.rows.append(row)
+
+
 def run_stream(events: Sequence[UpdateEvent], n: int, cfg: EstimatorConfig,
                oracle_every: int = 0, query_every: int = 0) -> RunResult:
     """Feed events; emit a row at every `q` marker and every `query_every`
-    updates; attach exact sizes at the oracle cadence."""
+    updates; attach exact sizes to every `oracle_every`-th row."""
     est = Estimator(n, cfg)
     meta = {
         "type": "meta", "version": REPORT_VERSION, "n": n,
@@ -289,35 +306,15 @@ def run_stream(events: Sequence[UpdateEvent], n: int, cfg: EstimatorConfig,
         meta["beta"] = cfg.beta
     result = RunResult(meta=meta)
     since_query = 0
-    since_oracle = 0
-
-    def emit(with_oracle: bool) -> None:
-        se = est.estimate()
-        mu = _exact_mu(est.g) if with_oracle else None
-        row: Dict[str, object] = {
-            "type": "row", "t": est.g.ops, "nu": se.nu,
-            "m1": se.components.get("m1", 0.0),
-            "scale": se.components.get("scale"),
-            "probes": 0, "backlog": 0,
-        }
-        if "hysteresis" in se.components:
-            row["hysteresis"] = 1
-        if mu is not None:
-            row["mu"] = mu
-            row["ratio"] = (mu / se.nu) if se.nu > 0 else None
-        result.rows.append(row)
-
     for ev in events:
         if ev.kind == "q":
-            since_oracle += 1
-            emit(oracle_every > 0)
+            _emit(result, est, est.estimate(), oracle_every)
             continue
         est.apply(ev)
         since_query += 1
         if query_every > 0 and since_query >= query_every:
             since_query = 0
-            since_oracle += 1
-            emit(oracle_every > 0 and since_oracle % max(1, oracle_every // max(1, query_every)) == 0)
+            _emit(result, est, est.estimate(), oracle_every)
     return result
 
 
@@ -326,7 +323,8 @@ def run_adaptive(n: int, cfg: EstimatorConfig, seed: int, horizon: int,
                  density: float = 0.2) -> RunResult:
     """Drive an adaptive adversary against a live estimator. The adversary's
     only input is the estimate published at each cadence boundary; the number
-    of reads is recorded in the metadata."""
+    of reads is recorded in the metadata. Exact sizes go to every
+    `oracle_every`-th row."""
     est = Estimator(n, cfg)
     adv = AdaptiveAdversary(n, seed, batch=cadence, density=density)
     meta = {
@@ -338,7 +336,6 @@ def run_adaptive(n: int, cfg: EstimatorConfig, seed: int, horizon: int,
     result = RunResult(meta=meta)
     nu = 0.0
     applied = 0
-    checkpoints = 0
     while applied < horizon:
         batch = adv.step(nu)
         if not batch:
@@ -350,20 +347,7 @@ def run_adaptive(n: int, cfg: EstimatorConfig, seed: int, horizon: int,
             applied += 1
         se = est.estimate()
         nu = se.nu
-        checkpoints += 1
-        row: Dict[str, object] = {
-            "type": "row", "t": est.g.ops, "nu": nu,
-            "m1": se.components.get("m1", 0.0),
-            "scale": se.components.get("scale"),
-            "probes": 0, "backlog": 0,
-        }
-        with_oracle = oracle_every > 0 and checkpoints % oracle_every == 0
-        if with_oracle:
-            mu = _exact_mu(est.g)
-            if mu is not None:
-                row["mu"] = mu
-                row["ratio"] = (mu / nu) if nu > 0 else None
-        result.rows.append(row)
+        _emit(result, est, se, oracle_every)
     meta["adversary_reads"] = len(adv.estimate_log)
     return result
 
@@ -377,7 +361,7 @@ def write_report(path: str, result: RunResult) -> None:
         for row in result.rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     csv_path = path + ".csv"
-    cols = ["t", "nu", "mu", "ratio", "m1", "scale", "probes", "backlog"]
+    cols = ["t", "nu", "mu", "ratio", "m1"]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
@@ -427,8 +411,8 @@ def summarize(result: RunResult, criteria: Optional[dict] = None) -> dict:
     summary: Dict[str, object] = {
         "rows": len(result.rows),
         "mode": result.meta.get("mode"),
-        "max_probes": max((r.get("probes", 0) for r in result.rows),
-                          default=0),
+        # rows past the oracle's size range, or off the oracle cadence
+        "rows_without_mu": sum("mu" not in r for r in result.rows),
     }
     if ratios:
         summary["ratio_min"] = ratios[0]

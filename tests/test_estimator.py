@@ -9,7 +9,6 @@ from dynmatch.estimator import (AlphaOutOfRange, ContractedMember,
                                 ContractionFamily, Estimator, EstimatorConfig,
                                 SizeEstimate, bipartite_query,
                                 combine_amm_and_alpha, general_query)
-from dynmatch.harness import generate_workload
 from dynmatch.streaming import SecondPassConfig
 
 
@@ -226,159 +225,30 @@ def test_estimator_reports_are_deterministic():
     assert run() == run()
 
 
-def test_refresh_on_read_timestamps():
-    # n=300 at eps 0.2 has 9 members (scales 1-3); a 100-edge matching puts
-    # them above threshold, and every served member is refreshed whether or
-    # not the estimate queries it
-    est = Estimator(300, EstimatorConfig(mode="bipartite", eps=0.2, seed=2))
-    for i in range(100):
-        est.insert(i, 150 + i)
+# -- |M1| floor of the bipartite value -------------------------------------
+
+
+def test_bipartite_value_floored_at_m1():
+    """A perfect matching with no augmenting structure: the formula gives
+    (1-1/b)*4 < 4, and the estimator serves the matching size."""
+    cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=1)
+    est = Estimator(8, cfg)
+    for i in range(4):
+        est.insert(i, i + 4)
+    mix, _ = bipartite_query(est.g, est.amm.matching(), cfg.spc)
+    assert mix == pytest.approx((1 - 1 / cfg.spc.b) * 4)
     se = est.estimate()
-    served = est.family.served_members()
-    assert served
-    for mem in served:
-        assert mem.last_served_at == se.timestamp
+    assert se.nu == 4.0 and se.components["bound"] == "m1"
 
 
-# -- pruned member scan ----------------------------------------------------
-
-
-@pytest.mark.parametrize("mode", ["bipartite", "general", "tradeoff"])
-def test_value_bound_is_reached(mode):
-    """`_value_bound` holds and is tight. Bipartite: a double star whose
-    matched edge has k free leaves at each end fills both caps, worth
-    (1+delta)|M1|. General and tradeoff: a path a-u-v-b with M1 = {uv}
-    gets kappa = 1, worth (1+1/b)|M1|, on the draws whose coins split it."""
-    cfg = EstimatorConfig(mode=mode, eps=0.2, seed=4)
-    m1 = Matching([(0, 1)])
-    if mode == "bipartite":
-        k = cfg.spc.k
-        g = build(2 + 2 * k, [(0, 1)] + [(i % 2, 2 + i) for i in range(2 * k)])
-        top = 1.0 + cfg.spc.delta
-    else:
-        g = build(4, [(2, 0), (0, 1), (1, 3)])
-        b = cfg.b_general if mode == "general" else cfg.b_star
-        top = 1.0 + 1.0 / b
-    est = Estimator(g.n, cfg)
-    bound = est._value_bound(len(m1))
-    values = [est._member_value(g, m1, stamp)[0] for stamp in range(40)]
-    assert max(values) <= bound
-    assert max(values) == pytest.approx(top, rel=1e-12)
-    assert bound == pytest.approx(top, rel=1e-8)
-
-
-def exhaustive_estimate(est):
-    """The scan the pruned `Estimator.estimate` must equal: the identity
-    first, then every served member in list order, replacing on strict >."""
-    stamp = est.g.ops
-    if est.g.m == 0:
-        return SizeEstimate(0.0, stamp)
-    best, best_reps, best_comp = 0.0, [], {}
-    if 2 * len(est.amm.matching()) >= est.family.identity_threshold:
-        nu, reps, comp = est._member_value(est.g, est._live_matching(), stamp)
-        comp["scale"] = -1
-        best, best_reps, best_comp = nu, reps, comp
-    for mem in est.family.served_members():
-        nu, reps, comp = est._member_value(mem.cg, mem.matcher.m, stamp)
-        if nu > best:
-            comp["scale"] = mem.scale
-            best, best_reps, best_comp = nu, reps, comp
-    if best == 0.0:
-        nu, reps, comp = est._member_value(est.g, est._live_matching(), stamp)
-        comp["scale"] = -1
-        comp["hysteresis"] = 1
-        best, best_reps, best_comp = nu, reps, comp
-    return SizeEstimate(best, stamp, best_comp, best_reps)
-
-
-def replay_against_exhaustive(est, events, every):
-    """Compare the served estimate with `exhaustive_estimate` on the same
-    state every `every` updates; return how many served a member and at how
-    many the pruned scan did less query work."""
-    member_wins = pruned = 0
-    for t, ev in enumerate(events, 1):
-        est.apply(ev)
-        if t % every:
-            continue
-        w0 = est.query_work
-        ref = exhaustive_estimate(est)
-        w1 = est.query_work
-        got = est.estimate()
-        w2 = est.query_work
-        assert (got.nu, got.components, got.rep_values) == \
-            (ref.nu, ref.components, ref.rep_values), t
-        member_wins += ref.components["scale"] != -1
-        pruned += w2 - w1 < w1 - w0
-    return member_wins, pruned
-
-
-PRUNING_STREAMS = {
-    "bipartite-300": (
-        300, dict(mode="bipartite", eps=0.2, seed=1, reps=2),
-        dict(workload="random-bipartite", seed=1, horizon=3000,
-             density=0.1)),
-    "general-2048": (
-        2048, dict(mode="general", eps=0.3, seed=3, reps=3),
-        dict(workload="random-er", seed=3, horizon=1000,
-             density=4.0 / 2047)),
-    "tradeoff-300": (
-        300, dict(mode="tradeoff", eps=0.3, alpha=2.0, seed=5, reps=2),
-        dict(workload="random-er", seed=5, horizon=1500, density=0.02)),
-}
-
-
-def pruning_run(name, cls, identity, every):
-    """Replay stream `name` on a `cls` estimator against the exhaustive
-    scan. Without the identity (its threshold set out of reach) members
-    compete only with each other and win far more often."""
-    n, cfg, stream = PRUNING_STREAMS[name]
-    est = cls(n, EstimatorConfig(**cfg))
-    if not identity:
-        est.family.identity_threshold = math.inf
-    return replay_against_exhaustive(
-        est, generate_workload(n=n, **stream), every)
-
-
-@pytest.mark.parametrize("identity", [True, False])
-@pytest.mark.parametrize("name", sorted(PRUNING_STREAMS))
-def test_pruned_scan_equals_exhaustive(name, identity):
-    member_wins, pruned = pruning_run(name, Estimator, identity, every=10)
-    assert pruned > 0 and (identity or member_wins > 0), (member_wins,
-                                                           pruned)
-
-
-class TieEstimator(Estimator):
-    """A value rule that ties often and stays within `_value_bound`: a first
-    matching of s edges is worth s. The components name the queried graph,
-    so that ties between members of one scale are told apart."""
-
-    def _member_value(self, graph, m1, stamp):
-        self.query_work += 1
-        nu = float(len(m1))
-        return nu, [nu], {"m1": len(m1), "graph": id(graph)}
-
-
-class SaturatedEstimator(Estimator):
-    """With c the first matching size of the first served member in list
-    order, a first matching of s edges is worth `_value_bound(min(s, c))`.
-    Every member of size at least c ties at that value, larger members are
-    visited first, and the first served member meets it with its own bound,
-    so it wins only if the scan queries a member whose bound equals the
-    best value and gives ties to the earlier member in list order."""
-
-    def _member_value(self, graph, m1, stamp):
-        self.query_work += 1
-        served = self.family.served_members()
-        c = len(served[0].matcher.m) if served else len(m1)
-        nu = self._value_bound(min(len(m1), c))
-        return nu, [nu], {"m1": len(m1), "graph": id(graph)}
-
-
-@pytest.mark.parametrize("cls,identity", [(TieEstimator, True),
-                                          (TieEstimator, False),
-                                          (SaturatedEstimator, False)])
-@pytest.mark.parametrize("name", sorted(PRUNING_STREAMS))
-def test_pruned_scan_ties_follow_list_order(name, cls, identity):
-    member_wins, pruned = pruning_run(name, cls, identity, every=5)
-    assert pruned > 0 and (identity or member_wins > 0), (member_wins,
-                                                           pruned)
+def test_bipartite_value_serves_mix_above_m1():
+    """A path a-u-v-b with M1 = {uv}: the mix, 1 + delta, exceeds |M1| and
+    is served."""
+    cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=1)
+    est = Estimator(4, cfg)
+    for e in [(1, 2), (0, 1), (2, 3)]:
+        est.insert(*e)
+    assert sorted(est.amm.matching().edges()) == [(1, 2)]
+    se = est.estimate()
+    assert se.nu == pytest.approx(1 + cfg.spc.delta)
+    assert se.components["bound"] == "mix"

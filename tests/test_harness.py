@@ -102,6 +102,20 @@ def test_run_rows_and_ratios():
         assert 1.0 - 1e-9 <= row["ratio"] <= 1 + 1 / 2**0.5 + 0.2 + 1e-9
 
 
+def test_oracle_cadence_counts_rows():
+    """`oracle_every` means every N-th emitted row, whether rows come from
+    `q` markers or from `query_every`."""
+    cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=1)
+    marked = generate_workload("random-bipartite", 30, seed=2, horizon=300,
+                               query_every=20)
+    bare = generate_workload("random-bipartite", 30, seed=2, horizon=300)
+    for res in (run_stream(marked, 30, cfg, oracle_every=3),
+                run_stream(bare, 30, cfg, oracle_every=3, query_every=20)):
+        assert len(res.rows) == 15
+        with_mu = [i for i, row in enumerate(res.rows, 1) if "mu" in row]
+        assert with_mu == [3, 6, 9, 12, 15]
+
+
 def test_run_adaptive_records_reads():
     res = run_adaptive(40, EstimatorConfig(mode="bipartite", eps=0.2, seed=3),
                        seed=3, horizon=300, cadence=50, oracle_every=1)
@@ -123,7 +137,7 @@ def test_report_roundtrip_and_csv(tmp_path):
     assert len(back.rows) == len(res.rows)
     assert os.path.exists(path + ".csv")
     with open(path + ".csv") as fh:
-        assert fh.readline().startswith("t,nu,mu,ratio")
+        assert fh.readline() == "t,nu,mu,ratio,m1\n"
 
 
 def test_malformed_reports_rejected(tmp_path):
@@ -140,21 +154,23 @@ def test_malformed_reports_rejected(tmp_path):
 
 def test_summarize_rules():
     meta = {"type": "meta", "mode": "bipartite"}
-    rows = [{"type": "row", "t": i, "nu": 1.0, "probes": 0,
-             "mu": 1, "ratio": r}
+    rows = [{"type": "row", "t": i, "nu": 1.0, "mu": 1, "ratio": r}
             for i, r in enumerate([1.0, 1.2, 1.5])]
     s = summarize(RunResult(meta=meta, rows=rows), {"ratio_max": 1.907})
     assert s["pass"] and s["ratio_max"] == 1.5
+    assert s["rows_without_mu"] == 0
     # single outlier within the 1% allowance rule: with 3 rows, one bad row
     # exceeds the allowance and fails
-    rows.append({"type": "row", "t": 3, "nu": 1.0, "mu": 5, "ratio": 5.0,
-                 "probes": 0})
+    rows.append({"type": "row", "t": 3, "nu": 1.0, "mu": 5, "ratio": 5.0})
     s = summarize(RunResult(meta=meta, rows=rows), {"ratio_max": 1.907})
     assert not s["pass"]
     # reports without exact sizes omit ratio quantiles but stay valid
-    bare = [{"type": "row", "t": 0, "nu": 2.0, "probes": 0}]
+    bare = [{"type": "row", "t": 0, "nu": 2.0}]
     s = summarize(RunResult(meta=meta, rows=bare))
     assert "ratio_max" not in s and s["rows"] == 1
+    # a row that lacks `mu` is counted, so a reader sees how many were checked
+    s = summarize(RunResult(meta=meta, rows=rows + bare))
+    assert s["rows"] == 5 and s["rows_without_mu"] == 1
 
 
 def test_cli_end_to_end(tmp_path, capsys):
