@@ -4,11 +4,13 @@ The paper's kernel pipeline is kept as a library with its validators: a
 validated approximately-maximal fractional matching (AMfM) -> level-wise edge
 coloring and color sampling -> bounded-degree kernel -> static matching
 extraction with an explicit removal witness. With the provider's degree bound
-d every level's sample covers its whole palette, so that kernel is always the
-full edge list sorted by level; the maintainer builds exactly that list from
-the live graph and extracts from it, without running the pipeline. An eager
-repair rule keeps the live matching exactly maximal between the epoch
-rebuilds.
+d every level's sample covers its whole palette, so that kernel is every live
+edge ordered by level. The maintainer rebuilds with one greedy pass over the
+live edges in that order (`level_ordered_edges`), without running the
+pipeline: the greedy pass alone makes the matching maximal in the live graph,
+so it needs neither the extraction's max-weight step over high-degree
+vertices nor its witness. An eager repair rule keeps the live matching
+exactly maximal between the epoch rebuilds.
 """
 
 from __future__ import annotations
@@ -135,13 +137,13 @@ class Kernel:
     edges: List[Edge]
     d: int
     eps: float
-    degrees: Dict[int, int] = field(default_factory=dict)
+    degrees: Dict[int, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.degrees:
-            for (u, v) in self.edges:
-                self.degrees[u] = self.degrees.get(u, 0) + 1
-                self.degrees[v] = self.degrees.get(v, 0) + 1
+        self.degrees = {}
+        for (u, v) in self.edges:
+            self.degrees[u] = self.degrees.get(u, 0) + 1
+            self.degrees[v] = self.degrees.get(v, 0) + 1
 
     def degree(self, v: int) -> int:
         return self.degrees.get(v, 0)
@@ -227,21 +229,20 @@ def edge_color_and_sparsify(g: DynamicGraph, amfm: AMfM, eps: float,
     raise KernelValidationFailed(last_error or "kernel resampling failed")
 
 
-def level_ordered_kernel(g: DynamicGraph, eps: float) -> Kernel:
-    """The kernel `edge_color_and_sparsify` returns for `fractional_provider`'s
-    AMfM, built straight from the live graph. Under `provider_degree_bound`
-    every level is taken wholesale, so that kernel is every edge ordered by
-    the level of its spread value, ascending, in insertion order within a
-    level. The level depends only on d = max(deg u, deg v), so it is computed
-    once per distinct d, and one pass over the edges buckets them by level
-    and reads the kernel's degrees from the adjacency."""
+def level_ordered_edges(g: DynamicGraph, eps: float) -> List[Edge]:
+    """The edges of the kernel `edge_color_and_sparsify` returns for
+    `fractional_provider`'s AMfM, in its order, built straight from the live
+    graph. Under `provider_degree_bound` every level is taken wholesale, so
+    that kernel is every edge ordered by the level of its spread value,
+    ascending, in insertion order within a level. The level depends only on
+    d = max(deg u, deg v), so it is computed once per distinct d, and one
+    pass over the edges buckets them by level."""
     adj = g.adj
-    degrees: Dict[int, int] = {}
     levels: Dict[int, List[Edge]] = {}
     bucket_of: Dict[int, List[Edge]] = {}
     for e in g.edges():
-        du = degrees[e[0]] = len(adj[e[0]])
-        dv = degrees[e[1]] = len(adj[e[1]])
+        du = len(adj[e[0]])
+        dv = len(adj[e[1]])
         d = du if du > dv else dv
         bucket = bucket_of.get(d)
         if bucket is None:
@@ -249,8 +250,7 @@ def level_ordered_kernel(g: DynamicGraph, eps: float) -> Kernel:
             bucket = bucket_of[d] = levels.setdefault(
                 level_of(1.0 / d, eps), [])
         bucket.append(e)
-    return Kernel(edges=[e for i in sorted(levels) for e in levels[i]],
-                  d=provider_degree_bound(g, eps), eps=eps, degrees=degrees)
+    return [e for i in sorted(levels) for e in levels[i]]
 
 
 # -- static matching extraction -------------------------------------------
@@ -269,13 +269,11 @@ def high_degree_nodes(k: Kernel) -> List[int]:
     return [v for v, dv in k.degrees.items() if dv >= threshold]
 
 
-def static_amm_from_kernel(g: DynamicGraph, k: Kernel, eps: float,
-                           hk: Optional[Set[int]] = None) -> AMMState:
+def static_amm_from_kernel(g: DynamicGraph, k: Kernel,
+                           eps: float) -> AMMState:
     """Max-weight matching under w_e = |e cut high-degree set|, extended to a
-    maximal matching of the kernel; witness = unmatched high-degree nodes.
-    `hk` is the kernel's high-degree set when the caller has computed it."""
-    if hk is None:
-        hk = set(high_degree_nodes(k))
+    maximal matching of the kernel; witness = unmatched high-degree nodes."""
+    hk = set(high_degree_nodes(k))
     m = Matching()
     if hk:
         gx = nx.Graph()
@@ -345,7 +343,6 @@ class AMMMaintainer(DynamicMaximalMatching):
     def __init__(self, g: DynamicGraph, eps: float):
         super().__init__(g)
         self.eps = eps
-        self.witness: Set[int] = set()
         self.epoch_index = 0
         self.updates_in_epoch = 0
         self.rebuild_count = 0
@@ -357,11 +354,6 @@ class AMMMaintainer(DynamicMaximalMatching):
 
     def matching(self) -> Matching:
         return self.m
-
-    @property
-    def state(self) -> AMMState:
-        """The live matching with the latest rebuild's removal witness."""
-        return AMMState(matching=self.m, witness=self.witness)
 
     def mu_hat(self) -> int:
         return max(1, 2 * len(self.m))
@@ -384,27 +376,24 @@ class AMMMaintainer(DynamicMaximalMatching):
     def rebuild(self) -> None:
         """Recompute the matching from the live graph and swap it in.
 
-        While 2|M| is below 1/eps it is a greedy maximal matching in edge
-        order (the small-size branch). Otherwise it is extracted from
-        `level_ordered_kernel`, the kernel the library pipeline would
-        return, without running that pipeline.
+        It is one greedy maximal matching over the live edges: in edge order
+        while 2|M| is below 1/eps (the small-size branch), otherwise in the
+        order of `level_ordered_edges`, the kernel the library pipeline
+        would return. Each live edge is read a constant number of times, so
+        a rebuild is charged g.m.
         """
         g = self.g
         self.rebuild_count += 1
-        self.work += g.m + g.n
+        self.work += g.m
         report: dict = {"epoch": self.epoch_index}
         if g.m == 0:
-            self.m, self.witness = Matching(), set()
+            self.m = Matching()
             report["empty"] = True
         elif 2 * len(self.m) < 1.0 / self.eps:
-            self.m, self.witness = first_pass_matching(g.edges()), set()
+            self.m = first_pass_matching(g.edges())
             report.update(branch="small-direct", kernel_edges=g.m)
         else:
-            kern = level_ordered_kernel(g, self.eps)
-            hk = set(high_degree_nodes(kern))
-            state = static_amm_from_kernel(g, kern, self.eps, hk)
-            self.m, self.witness = state.matching, state.witness
-            report.update(branch="kernel", kernel_edges=len(kern.edges),
-                          high_degree=len(hk))
+            self.m = first_pass_matching(level_ordered_edges(g, self.eps))
+            report.update(branch="kernel", kernel_edges=g.m)
         self._set_epoch_length()
         self.last_rebuild_report = report

@@ -1,6 +1,6 @@
 """Command-line interface: generate workloads, replay streams, summarize
-reports. All flags round-trip into report metadata; DYNMATCH_SEED sets the
-default seed."""
+reports. All flags round-trip into report metadata; `--seed` defaults to
+0."""
 
 from __future__ import annotations
 
@@ -15,10 +15,6 @@ from .graph import read_stream, write_stream
 from . import harness
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("DYNMATCH_SEED", "0"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynmatch",
@@ -30,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--workload", required=True,
                      choices=harness.WORKLOADS)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=_default_seed())
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--horizon", type=int, default=1000)
     gen.add_argument("--density", type=float, default=0.2)
@@ -46,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", required=True,
                      choices=["bipartite", "general", "tradeoff"])
     run.add_argument("--eps", type=float, required=True)
-    run.add_argument("--seed", type=int, default=_default_seed())
+    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--reps", type=int, default=1)
     run.add_argument("--alpha", type=float, default=2.0)
     run.add_argument("--n", type=int, required=True)

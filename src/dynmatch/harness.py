@@ -108,8 +108,6 @@ def gen_random_er(n: int, horizon: int, seed: int,
 def gen_random_bipartite(n: int, horizon: int, seed: int,
                          density: float = 0.2) -> List[UpdateEvent]:
     h = n // 2
-    if h < 1 or n - h < 1:
-        raise InvalidParams("need at least 2 vertices")
     target = max(1, int(density * h * (n - h)))
 
     def pick(rng: random.Random) -> Edge:
@@ -225,6 +223,9 @@ def generate_workload(workload: str, n: int, seed: int, horizon: int = 1000,
                       query_every: int = 0,
                       cfg: Optional[EstimatorConfig] = None
                       ) -> List[UpdateEvent]:
+    if n < 2 and workload != "planted-matching" and workload in WORKLOADS:
+        # every other workload draws vertex pairs
+        raise InvalidParams(f"{workload} needs at least 2 vertices")
     if workload == "random-er":
         events = gen_random_er(n, horizon, seed, density)
     elif workload == "random-bipartite":

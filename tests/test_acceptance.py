@@ -13,6 +13,7 @@ import pytest
 
 from dynmatch.graph import DynamicGraph, Matching, UpdateEvent
 from dynmatch import oracles
+from dynmatch.amm import Kernel, high_degree_nodes, provider_degree_bound
 from dynmatch.oracles import RankFunction
 from dynmatch.sublinear import (AdjacencyOracle, ImplicitSupergraph,
                                 QueryBudget, _GraphListHost,
@@ -316,7 +317,14 @@ def dyn_bipartite_runs():
                     all(est.g.edge_exists(u, v) for (u, v) in m.edges())
                     and all(m.is_matched(u) or m.is_matched(v)
                             for (u, v) in est.g.edges()))
-                rebuilds.append((dict(est.amm.last_rebuild_report),
+                rep = dict(est.amm.last_rebuild_report)
+                # the library kernel's high-degree set over the live graph
+                high_degree = 0
+                if rep.get("branch") == "kernel":
+                    high_degree = len(high_degree_nodes(Kernel(
+                        list(est.g.edges()),
+                        provider_degree_bound(est.g, 0.2), 0.2)))
+                rebuilds.append((rep, high_degree,
                                  oracles.max_matching_size(est.g),
                                  live_maximal))
             if t % 100 == 0:
@@ -363,14 +371,14 @@ def test_criterion_10_amm_maintenance(dyn_bipartite_runs):
                 bad_checks += 1
             if ck["msize"] < (0.5 - eps / 2) * ck["mu"] - 1e-9:
                 bad_checks += 1
-        for (rep, mu, live_maximal) in run["rebuilds"]:
+        for (rep, high_degree, mu, live_maximal) in run["rebuilds"]:
             n_rebuilds += 1
             # the swapped-in matching: live edges only, maximal in the graph
             if not live_maximal:
                 bad_rebuilds += 1
             if rep.get("branch") == "kernel":
                 n_kernel += 1
-                if rep["high_degree"] > 4 * mu:
+                if high_degree > 4 * mu:
                     bad_rebuilds += 1
     verdict(10, bad_checks == 0 and bad_rebuilds == 0 and n_kernel > 0,
             f"{n_rebuilds} rebuilds audited ({n_kernel} kernel-branch), "

@@ -9,9 +9,10 @@ from dynmatch.amm import (AMfM, AMMMaintainer, DynamicMaximalMatching, Kernel,
                           KernelValidationFailed, ValidationFailed,
                           edge_color_and_sparsify, fractional_provider,
                           greedy_level_coloring, high_degree_nodes, level_of,
-                          level_ordered_kernel, required_degree_bound,
-                          static_amm_from_kernel, validate_amfm,
-                          validate_kernel)
+                          level_ordered_edges, provider_degree_bound,
+                          required_degree_bound, static_amm_from_kernel,
+                          validate_amfm, validate_kernel)
+from dynmatch.streaming import first_pass_matching
 
 
 def build(n, edges):
@@ -173,7 +174,6 @@ def test_maintainer_insert_only_disjoint():
         for (u, v) in g.edges():
             assert m.is_matched(u) or m.is_matched(v)
     assert len(mnt.matching()) == 200
-    assert mnt.state.witness == set()
 
 
 def test_maintainer_survives_matched_edge_deletions():
@@ -227,10 +227,30 @@ def test_maintainer_rebuild_report():
     mnt.rebuild()
     rep = mnt.last_rebuild_report
     assert rep["branch"] == "kernel" and rep["kernel_edges"] == g.m
-    kern = level_ordered_kernel(g, 0.2)
+    kern = Kernel(level_ordered_edges(g, 0.2), provider_degree_bound(g, 0.2),
+                  0.2)
     assert validate_kernel(g, kern)["ok"]
-    assert rep["high_degree"] == len(high_degree_nodes(kern))
     assert live_and_maximal(g, mnt.matching())
+
+
+def test_rebuild_charge_is_independent_of_n():
+    """A rebuild is charged the live edges it reads, not the vertex ids."""
+    rng = random.Random(5)
+    edges = list({(min(u, v), max(u, v))
+                  for u, v in ((rng.randrange(40), rng.randrange(40))
+                               for _ in range(200)) if u != v})
+    rng.shuffle(edges)
+    works = []
+    for n in (40, 40_000):
+        g = build(n, [])
+        mnt = AMMMaintainer(g, eps=0.2)
+        g.register(mnt)
+        for e in edges:
+            g.insert(*e)
+        mnt.rebuild()
+        assert mnt.last_rebuild_report["branch"] == "kernel"
+        works.append(mnt.work)
+    assert works[0] == works[1]
 
 
 def equality_cases():
@@ -251,17 +271,16 @@ def equality_cases():
 
 @pytest.mark.parametrize("eps", [0.05, 0.2, 0.5, 0.99])
 def test_rebuild_equals_library_pipeline(eps):
-    """The maintainer's kernel branch must extract exactly what the library
-    pipeline provider -> sparsifier -> extraction produces: the same kernel
-    (edge order and d), matching edges in order, and witness."""
+    """The maintainer's kernel branch must be one greedy pass over the kernel
+    the library pipeline provider -> sparsifier produces, in its order; where
+    that kernel has no high-degree node, the library extraction must give the
+    same matching with an empty witness."""
     kernel_rebuilds = 0
+    no_high_degree = 0
     for name, n, edges in equality_cases():
         g = build(n, edges)
         ref_kern = edge_color_and_sparsify(g, fractional_provider(g, eps), eps)
-        ref = static_amm_from_kernel(g, ref_kern, eps)
-        kern = level_ordered_kernel(g, eps)
-        assert (kern.edges, kern.d, kern.eps) == \
-            (ref_kern.edges, ref_kern.d, ref_kern.eps), name
+        assert level_ordered_edges(g, eps) == ref_kern.edges, name
         mnt = AMMMaintainer(g, eps=eps)
         # the branch test reads only the matching's size, so a placeholder
         # of size >= 1/(2*eps) sends the rebuild to the kernel branch at
@@ -276,7 +295,13 @@ def test_rebuild_equals_library_pipeline(eps):
         kernel_rebuilds += 1
         assert rep["branch"] == "kernel", name
         assert rep["kernel_edges"] == g.m, name
-        assert rep["high_degree"] == len(high_degree_nodes(ref_kern)), name
-        assert mnt.matching().edges() == ref.matching.edges(), name
-        assert mnt.state.witness == ref.witness, name
+        assert mnt.matching().edges() == \
+            first_pass_matching(ref_kern.edges).edges(), name
+        if not high_degree_nodes(ref_kern):
+            no_high_degree += 1
+            ref = static_amm_from_kernel(g, ref_kern, eps)
+            assert mnt.matching().edges() == ref.matching.edges(), name
+            assert ref.witness == set(), name
     assert kernel_rebuilds >= 20
+    if eps <= 0.5:
+        assert no_high_degree > 0

@@ -67,6 +67,14 @@ def test_unknown_workload_rejected():
         generate_workload("nope", 10, seed=0)
 
 
+@pytest.mark.parametrize("w,n", [
+    (w, n) for w in ("random-er", "random-bipartite", "sliding-window",
+                     "adaptive-adversary") for n in (0, 1)])
+def test_pair_workloads_reject_fewer_than_two_vertices(w, n):
+    with pytest.raises(InvalidParams):
+        generate_workload(w, n, seed=1, horizon=10)
+
+
 def test_adaptive_adversary_logs_reads_and_reacts():
     adv = AdaptiveAdversary(40, seed=1, batch=10)
     b1 = adv.step(0.0)
