@@ -31,7 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--horizon", type=int, default=1000)
     gen.add_argument("--density", type=float, default=0.2)
     gen.add_argument("--window", type=int, default=200)
-    gen.add_argument("--query-every", type=int, default=0)
+    gen.add_argument("--query-every", type=int, default=0,
+                     help="write a q marker after every N updates (0: "
+                          "none); adaptive-adversary reads the estimate "
+                          "every N updates (0: every 20) and writes a q at "
+                          "each read")
     gen.add_argument("--mode", default="bipartite",
                      choices=["bipartite", "general", "tradeoff"],
                      help="estimator mode driven by the adaptive workload")
@@ -49,7 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle-every", type=int, default=0,
                      help="attach the exact maximum matching size to every "
                           "N-th report row (0: none)")
-    run.add_argument("--query-every", type=int, default=0)
+    run.add_argument("--query-every", type=int, default=0,
+                     help="also emit a row after every N updates (0: only "
+                          "at q markers)")
     run.add_argument("--report", required=True)
 
     summ = sub.add_parser("summarize", help="aggregate a report")

@@ -11,14 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence
 
-from .graph import (DynamicGraph, Edge, UpdateEvent, format_event, norm_edge,
-                    read_stream, write_stream)
+from .graph import DynamicGraph, Edge, UpdateEvent, norm_edge
 from . import oracles
 from .estimator import Estimator, EstimatorConfig, SizeEstimate
 
@@ -60,28 +58,42 @@ def _interleave_queries(events: List[UpdateEvent],
     return out
 
 
+def _any_pair(rng: random.Random, n: int) -> Edge:
+    u = rng.randrange(n)
+    v = rng.randrange(n - 1)
+    if v >= u:
+        v += 1
+    return norm_edge(u, v)
+
+
+def _cross_pair(rng: random.Random, n: int) -> Edge:
+    """A pair across the id halves [0, n//2) and [n//2, n)."""
+    h = n // 2
+    return norm_edge(rng.randrange(h), h + rng.randrange(n - h))
+
+
+def _fresh_pair(rng: random.Random, n: int, live: Dict[Edge, None],
+                pick) -> Optional[Edge]:
+    """The first of at most 50n draws of `pick` that is not in `live`, or
+    None if every draw is."""
+    for _ in range(50 * n):
+        e = pick(rng, n)
+        if e not in live:
+            return e
+    return None
+
+
 def _churn_events(n: int, horizon: int, seed: int, target: int,
-                  pick_pair) -> List[UpdateEvent]:
+                  pick) -> List[UpdateEvent]:
     """Fill toward `target` edges, then churn around it: each step inserts a
     random absent pair or deletes a random present edge."""
     rng = random.Random(seed)
     live: Dict[Edge, None] = {}
     events: List[UpdateEvent] = []
     for _ in range(horizon):
-        if not live:
-            do_insert = True
-        elif len(live) < target:
-            do_insert = True
-        else:
-            do_insert = rng.random() < 0.5
-        if do_insert:
-            for _attempt in range(50 * n):
-                e = pick_pair(rng)
-                if e not in live:
-                    break
-            else:
-                do_insert = False
-            if do_insert:
+        if len(live) < target or rng.random() < 0.5:
+            e = _fresh_pair(rng, n, live, pick)
+            if e is not None:
                 live[e] = None
                 events.append(UpdateEvent("i", *e))
                 continue
@@ -94,26 +106,14 @@ def _churn_events(n: int, horizon: int, seed: int, target: int,
 def gen_random_er(n: int, horizon: int, seed: int,
                   density: float = 0.2) -> List[UpdateEvent]:
     target = max(1, int(density * n * (n - 1) / 2))
-
-    def pick(rng: random.Random) -> Edge:
-        u = rng.randrange(n)
-        v = rng.randrange(n - 1)
-        if v >= u:
-            v += 1
-        return norm_edge(u, v)
-
-    return _churn_events(n, horizon, seed, target, pick)
+    return _churn_events(n, horizon, seed, target, _any_pair)
 
 
 def gen_random_bipartite(n: int, horizon: int, seed: int,
                          density: float = 0.2) -> List[UpdateEvent]:
     h = n // 2
     target = max(1, int(density * h * (n - h)))
-
-    def pick(rng: random.Random) -> Edge:
-        return norm_edge(rng.randrange(h), h + rng.randrange(n - h))
-
-    return _churn_events(n, horizon, seed, target, pick)
+    return _churn_events(n, horizon, seed, target, _cross_pair)
 
 
 def gen_sliding_window(n: int, horizon: int, seed: int,
@@ -124,7 +124,6 @@ def gen_sliding_window(n: int, horizon: int, seed: int,
     live: Dict[Edge, None] = {}
     order: Deque[Edge] = deque()
     events: List[UpdateEvent] = []
-    t = 0
     while len(events) < horizon:
         if len(order) >= window:
             e = order.popleft()
@@ -132,25 +131,16 @@ def gen_sliding_window(n: int, horizon: int, seed: int,
             events.append(UpdateEvent("d", *e))
             if len(events) >= horizon:
                 break
-        for _attempt in range(50 * n):
-            u = rng.randrange(n)
-            v = rng.randrange(n - 1)
-            if v >= u:
-                v += 1
-            e = norm_edge(u, v)
-            if e not in live:
-                break
-        else:
+        e = _fresh_pair(rng, n, live, _any_pair)
+        if e is None:
             raise InvalidParams("window too large for vertex count")
         live[e] = None
         order.append(e)
         events.append(UpdateEvent("i", *e))
-        t += 1
     return events
 
 
-def gen_planted_matching(n: int, horizon: int = 0,
-                         seed: int = 0) -> List[UpdateEvent]:
+def gen_planted_matching(n: int, horizon: int = 0) -> List[UpdateEvent]:
     """floor(n/2) disjoint edges across the id halves; maximum matching size
     is known by construction."""
     h = n // 2
@@ -175,20 +165,11 @@ class AdaptiveAdversary:
         self.rng = random.Random(seed)
         self.batch = batch
         h = n // 2
-        self.h = h
         self.target = max(1, int(density * h * (n - h)))
         self.live: Dict[Edge, None] = {}
         # newest inserts, oldest dropped beyond 4 batches
         self.recent: Deque[Edge] = deque(maxlen=4 * batch)
         self.estimate_log: List[float] = []
-
-    def _fresh_pair(self) -> Optional[Edge]:
-        for _ in range(50 * self.n):
-            e = norm_edge(self.rng.randrange(self.h),
-                          self.h + self.rng.randrange(self.n - self.h))
-            if e not in self.live:
-                return e
-        return None
 
     def step(self, last_estimate: float) -> List[UpdateEvent]:
         """One batch of updates, shaped by the last published estimate."""
@@ -203,7 +184,7 @@ class AdaptiveAdversary:
                 events.append(UpdateEvent("d", *e))
         while len(events) < self.batch:
             if len(self.live) < self.target:
-                e = self._fresh_pair()
+                e = _fresh_pair(self.rng, self.n, self.live, _cross_pair)
                 if e is not None:
                     self.live[e] = None
                     self.recent.append(e)
@@ -218,42 +199,62 @@ class AdaptiveAdversary:
         return events
 
 
+def gen_adaptive(n: int, horizon: int, seed: int, density: float,
+                 batch: int, cfg: EstimatorConfig) -> List[UpdateEvent]:
+    """Realize an AdaptiveAdversary against a live estimator. After each
+    batch (the last one cut at `horizon`) the adversary reads the estimate,
+    and a `q` marks the read, so `run_stream` replays the stream and
+    publishes exactly the values the adversary saw."""
+    est = Estimator(n, cfg)
+    adv = AdaptiveAdversary(n, seed, batch=batch, density=density)
+    events: List[UpdateEvent] = []
+    applied = 0
+    nu = 0.0
+    while applied < horizon:
+        updates = adv.step(nu)[:horizon - applied]
+        if not updates:
+            break
+        for ev in updates:
+            est.apply(ev)
+        events.extend(updates)
+        events.append(UpdateEvent("q"))
+        applied += len(updates)
+        nu = est.estimate().nu
+    return events
+
+
 def generate_workload(workload: str, n: int, seed: int, horizon: int = 1000,
                       density: float = 0.2, window: int = 200,
                       query_every: int = 0,
                       cfg: Optional[EstimatorConfig] = None
                       ) -> List[UpdateEvent]:
-    if n < 2 and workload != "planted-matching" and workload in WORKLOADS:
+    """The update stream of `workload`, with a `q` marker after every
+    `query_every` updates (0: none). The adaptive adversary instead reads
+    the estimate of `cfg` every `query_every` updates (0: every 20), and its
+    `q` markers are those reads."""
+    if workload not in WORKLOADS:
+        raise InvalidParams(f"unknown workload {workload!r}")
+    if n < 2 and workload != "planted-matching":
         # every other workload draws vertex pairs
         raise InvalidParams(f"{workload} needs at least 2 vertices")
+    if not 0 < density <= 1:
+        raise InvalidParams(f"density must be in (0, 1], got {density}")
+    if window < 1:
+        raise InvalidParams(f"window must be at least 1, got {window}")
+    if horizon < 0 or query_every < 0:
+        raise InvalidParams("horizon and query_every must be non-negative")
+    if workload == "adaptive-adversary":
+        if cfg is None:
+            cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=seed)
+        return gen_adaptive(n, horizon, seed, density, query_every or 20, cfg)
     if workload == "random-er":
         events = gen_random_er(n, horizon, seed, density)
     elif workload == "random-bipartite":
         events = gen_random_bipartite(n, horizon, seed, density)
     elif workload == "sliding-window":
         events = gen_sliding_window(n, horizon, seed, window)
-    elif workload == "planted-matching":
-        events = gen_planted_matching(n, horizon, seed)
-    elif workload == "adaptive-adversary":
-        # realized against a live estimator so the stream is replayable;
-        # the adversary sees nothing but the published estimates
-        if cfg is None:
-            cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=seed)
-        est = Estimator(n, cfg)
-        adv = AdaptiveAdversary(n, seed, density=density)
-        events = []
-        nu = 0.0
-        while len(events) < horizon:
-            batch = adv.step(nu)
-            if not batch:
-                break
-            for ev in batch:
-                est.apply(ev)
-                events.append(ev)
-            nu = est.estimate().nu
-        events = events[:horizon]
     else:
-        raise InvalidParams(f"unknown workload {workload!r}")
+        events = gen_planted_matching(n, horizon)
     return _interleave_queries(events, query_every)
 
 
@@ -294,6 +295,9 @@ def run_stream(events: Sequence[UpdateEvent], n: int, cfg: EstimatorConfig,
                oracle_every: int = 0, query_every: int = 0) -> RunResult:
     """Feed events; emit a row at every `q` marker and every `query_every`
     updates; attach exact sizes to every `oracle_every`-th row."""
+    if oracle_every < 0 or query_every < 0:
+        raise InvalidParams("oracle_every and query_every must be "
+                            "non-negative")
     est = Estimator(n, cfg)
     meta = {
         "type": "meta", "version": REPORT_VERSION, "n": n,
@@ -316,40 +320,6 @@ def run_stream(events: Sequence[UpdateEvent], n: int, cfg: EstimatorConfig,
         if query_every > 0 and since_query >= query_every:
             since_query = 0
             _emit(result, est, est.estimate(), oracle_every)
-    return result
-
-
-def run_adaptive(n: int, cfg: EstimatorConfig, seed: int, horizon: int,
-                 cadence: int = 100, oracle_every: int = 0,
-                 density: float = 0.2) -> RunResult:
-    """Drive an adaptive adversary against a live estimator. The adversary's
-    only input is the estimate published at each cadence boundary; the number
-    of reads is recorded in the metadata. Exact sizes go to every
-    `oracle_every`-th row."""
-    est = Estimator(n, cfg)
-    adv = AdaptiveAdversary(n, seed, batch=cadence, density=density)
-    meta = {
-        "type": "meta", "version": REPORT_VERSION, "n": n,
-        "mode": cfg.mode, "eps": cfg.eps, "seed": cfg.seed,
-        "reps": cfg.reps, "oracle_every": oracle_every,
-        "workload": "adaptive-adversary", "deviations": DEVIATIONS,
-    }
-    result = RunResult(meta=meta)
-    nu = 0.0
-    applied = 0
-    while applied < horizon:
-        batch = adv.step(nu)
-        if not batch:
-            break
-        for ev in batch:
-            if applied >= horizon:
-                break
-            est.apply(ev)
-            applied += 1
-        se = est.estimate()
-        nu = se.nu
-        _emit(result, est, se, oracle_every)
-    meta["adversary_reads"] = len(adv.estimate_log)
     return result
 
 
@@ -385,6 +355,10 @@ def read_report(path: str) -> RunResult:
             if obj.get("type") == "meta":
                 meta = obj
             elif obj.get("type") == "row":
+                t = obj.get("t")
+                if not isinstance(t, int) or isinstance(t, bool):
+                    raise MalformedReport(f"line {lineno}: row without an "
+                                          "integer update index t")
                 rows.append(obj)
             else:
                 raise MalformedReport(f"line {lineno}: unknown record type")

@@ -48,9 +48,9 @@ class SecondPassConfig:
         return SecondPassConfig(b=b, k=k, delta=1.0 / b, eps_prime=eps_prime)
 
 
-def first_pass_matching(edges: Iterable[Edge], eps: float = 0.0) -> Matching:
+def first_pass_matching(edges: Iterable[Edge]) -> Matching:
     """Greedy maximal matching in stream order (maximal, hence valid for any
-    approximate-maximality requirement eps >= 0)."""
+    approximate-maximality requirement)."""
     m = Matching()
     for (u, v) in edges:
         if u != v and not m.is_matched(u) and not m.is_matched(v):
@@ -117,7 +117,7 @@ def bipartite_two_pass(edges: Sequence[Edge], eps: float,
     n = _vertex_range(edges, n)
     _check_bipartite(edges, n)
     cfg = SecondPassConfig.bipartite(eps)
-    m1 = first_pass_matching(edges, eps / 8.0)
+    m1 = first_pass_matching(edges)
     nu, m2 = second_pass_bipartite(edges, m1, cfg)
     return nu, m1, m2
 
@@ -255,7 +255,7 @@ def general_two_pass(edges: Sequence[Edge], eps: float, b: int = B_GENERAL,
     """
     edges = list(edges)
     n = _vertex_range(edges, n)
-    m1 = first_pass_matching(edges, eps / 4.0)
+    m1 = first_pass_matching(edges)
     part = random_bipartition(m1, n, seed)
     m2, m1_hat = second_pass_general(edges, m1, part, b)
     union = DynamicGraph(n)

@@ -23,8 +23,7 @@ from dynmatch.sublinear import (AdjacencyOracle, ImplicitSupergraph,
 from dynmatch.streaming import (B_GENERAL, bipartite_two_pass,
                                 bulk_maximal_b_matching, general_two_pass)
 from dynmatch.estimator import Estimator, EstimatorConfig
-from dynmatch.harness import generate_workload, run_adaptive, run_stream, \
-    write_report
+from dynmatch.harness import generate_workload, run_stream, write_report
 
 BIG = QueryBudget(max_probes=None)
 
@@ -426,10 +425,11 @@ def test_criterion_09_adaptive_adversary():
     ok = True
     worst = 0.0
     for r in range(3):
-        res = run_adaptive(300, EstimatorConfig(mode="bipartite", eps=0.2,
-                                                seed=r + 1, reps=25),
-                           seed=900 + r, horizon=10**4, cadence=100,
-                           oracle_every=1, density=0.1)
+        cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=r + 1, reps=25)
+        events = generate_workload("adaptive-adversary", 300, seed=900 + r,
+                                   horizon=10**4, density=0.1,
+                                   query_every=100, cfg=cfg)
+        res = run_stream(events, 300, cfg, oracle_every=1)
         good = total = 0
         for row in res.rows:
             if "mu" not in row:

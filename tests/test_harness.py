@@ -6,10 +6,10 @@ import pytest
 from dynmatch.graph import UpdateEvent, read_stream, write_stream
 from dynmatch import harness
 from dynmatch.cli import main as cli_main
-from dynmatch.estimator import EstimatorConfig
+from dynmatch.estimator import Estimator, EstimatorConfig
 from dynmatch.harness import (AdaptiveAdversary, InvalidParams,
                               MalformedReport, RunResult, generate_workload,
-                              read_report, run_adaptive, run_stream, summarize,
+                              read_report, run_stream, summarize,
                               write_report)
 
 
@@ -75,6 +75,29 @@ def test_pair_workloads_reject_fewer_than_two_vertices(w, n):
         generate_workload(w, n, seed=1, horizon=10)
 
 
+@pytest.mark.parametrize("w,kw", [
+    ("random-er", {"density": 3.0}),
+    ("random-er", {"density": 0}),
+    ("random-bipartite", {"density": -1}),
+    ("adaptive-adversary", {"density": float("nan")}),
+    ("sliding-window", {"window": 0}),
+    ("random-er", {"horizon": -1}),
+    ("adaptive-adversary", {"horizon": -5}),
+    ("sliding-window", {"query_every": -1, "window": 10}),
+    ("adaptive-adversary", {"query_every": -1}),
+])
+def test_invalid_workload_params_rejected(w, kw):
+    with pytest.raises(InvalidParams):
+        generate_workload(w, 20, seed=1, **kw)
+
+
+@pytest.mark.parametrize("kw", [{"oracle_every": -1}, {"query_every": -2}])
+def test_invalid_run_params_rejected(kw):
+    ev = generate_workload("random-er", 10, seed=1, horizon=20)
+    with pytest.raises(InvalidParams):
+        run_stream(ev, 10, EstimatorConfig(mode="bipartite", eps=0.2), **kw)
+
+
 def test_adaptive_adversary_logs_reads_and_reacts():
     adv = AdaptiveAdversary(40, seed=1, batch=10)
     b1 = adv.step(0.0)
@@ -124,13 +147,36 @@ def test_oracle_cadence_counts_rows():
         assert with_mu == [3, 6, 9, 12, 15]
 
 
-def test_run_adaptive_records_reads():
-    res = run_adaptive(40, EstimatorConfig(mode="bipartite", eps=0.2, seed=3),
-                       seed=3, horizon=300, cadence=50, oracle_every=1)
-    assert res.meta["adversary_reads"] >= len(res.rows)
+def test_adaptive_stream_marks_every_read():
+    """An adaptive stream holds one `q` per estimate read, and replaying it
+    publishes exactly the estimates the adversary read. At density 0.1 the
+    reads turn the adversary aggressive, so its updates depend on them."""
+    n, horizon, every, density = 40, 300, 50, 0.1
+    cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=3)
+    ev = generate_workload("adaptive-adversary", n, seed=3, horizon=horizon,
+                           density=density, query_every=every, cfg=cfg)
+    # reference: the same adversary and estimator, driven by hand
+    adv = AdaptiveAdversary(n, seed=3, batch=every, density=density)
+    est = Estimator(n, cfg)
+    updates, reads = [], []
+    while len(updates) < horizon:
+        batch = adv.step(reads[-1] if reads else 0.0)
+        batch = batch[:horizon - len(updates)]
+        if not batch:
+            break
+        for e in batch:
+            est.apply(e)
+        updates.extend(batch)
+        reads.append(est.estimate().nu)
+    assert len(reads) == 6
+    assert adv.estimate_log == [0.0] + reads[:-1]
+    assert max(adv.estimate_log) >= 0.3 * adv.target
+    assert [e for e in ev if e.kind != "q"] == updates
+    assert sum(e.kind == "q" for e in ev) == len(reads)
+    res = run_stream(ev, n, cfg, oracle_every=1)
+    assert [row["nu"] for row in res.rows] == reads
     for row in res.rows:
-        if "ratio" in row and row["ratio"] is not None:
-            assert row["ratio"] >= 1.0 - 1e-9
+        assert row["ratio"] is None or row["ratio"] >= 1.0 - 1e-9
 
 
 def test_report_roundtrip_and_csv(tmp_path):
@@ -158,6 +204,13 @@ def test_malformed_reports_rejected(tmp_path):
         fh.write(json.dumps({"type": "row", "t": 1}) + "\n")
     with pytest.raises(MalformedReport):
         read_report(p)  # missing metadata
+    meta = json.dumps({"type": "meta", "mode": "bipartite"})
+    for row in ({"type": "row", "nu": 1.0}, {"type": "row", "t": "3"},
+                {"type": "row", "t": 1.5}):
+        with open(p, "w") as fh:
+            fh.write(meta + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(MalformedReport):
+            read_report(p)  # row without an integer update index
 
 
 def test_summarize_rules():
