@@ -5,12 +5,12 @@ validated approximately-maximal fractional matching (AMfM) -> level-wise edge
 coloring and color sampling -> bounded-degree kernel -> static matching
 extraction with an explicit removal witness. With the provider's degree bound
 d every level's sample covers its whole palette, so that kernel is every live
-edge ordered by level. The maintainer rebuilds with one greedy pass over the
-live edges in that order (`level_ordered_edges`), without running the
-pipeline: the greedy pass alone makes the matching maximal in the live graph,
-so it needs neither the extraction's max-weight step over high-degree
-vertices nor its witness. An eager repair rule keeps the live matching
-exactly maximal between the epoch rebuilds.
+edge ordered by level. The maintainer rebuilds, at every matching size, with
+one greedy pass over the live edges in that order (`level_ordered_edges`),
+without running the pipeline: the greedy pass alone makes the matching
+maximal in the live graph, so it needs neither the extraction's max-weight
+step over high-degree vertices nor its witness. An eager repair rule keeps
+the live matching exactly maximal between the epoch rebuilds.
 """
 
 from __future__ import annotations
@@ -336,8 +336,9 @@ class AMMMaintainer(DynamicMaximalMatching):
     maximal. Epoch length tracks eps*mu_hat/3 with mu_hat = 2|M| (a
     <=3-approximation since the live matching is maximal); at the end of
     every epoch `rebuild` recomputes the matching from the live graph and
-    swaps it in. The latest rebuild's branch and sizes are kept for
-    checkpoint audits.
+    swaps it in. The latest rebuild's report is kept for checkpoint audits:
+    `empty` on an edgeless graph, otherwise `branch="kernel"` and the
+    `kernel_edges` it read.
     """
 
     def __init__(self, g: DynamicGraph, eps: float):
@@ -376,11 +377,10 @@ class AMMMaintainer(DynamicMaximalMatching):
     def rebuild(self) -> None:
         """Recompute the matching from the live graph and swap it in.
 
-        It is one greedy maximal matching over the live edges: in edge order
-        while 2|M| is below 1/eps (the small-size branch), otherwise in the
-        order of `level_ordered_edges`, the kernel the library pipeline
-        would return. Each live edge is read a constant number of times, so
-        a rebuild is charged g.m.
+        It is one greedy maximal matching over the live edges in the order
+        of `level_ordered_edges`, the kernel the library pipeline would
+        return. Each live edge is read a constant number of times, so a
+        rebuild is charged g.m.
         """
         g = self.g
         self.rebuild_count += 1
@@ -389,9 +389,6 @@ class AMMMaintainer(DynamicMaximalMatching):
         if g.m == 0:
             self.m = Matching()
             report["empty"] = True
-        elif 2 * len(self.m) < 1.0 / self.eps:
-            self.m = first_pass_matching(g.edges())
-            report.update(branch="small-direct", kernel_edges=g.m)
         else:
             self.m = first_pass_matching(level_ordered_edges(g, self.eps))
             report.update(branch="kernel", kernel_edges=g.m)

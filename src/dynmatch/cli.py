@@ -1,6 +1,6 @@
 """Command-line interface: generate workloads, replay streams, summarize
 reports. All flags round-trip into report metadata; `--seed` defaults to
-0."""
+0. `run` emits a report row at each `q` marker of the stream."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import os
 import sys
 from typing import List, Optional
 
-from .estimator import EstimatorConfig
-from .graph import read_stream, write_stream
+from .estimator import AlphaOutOfRange, EstimatorConfig
+from .graph import GraphError, read_stream, write_stream
 from . import harness
 
 
@@ -53,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle-every", type=int, default=0,
                      help="attach the exact maximum matching size to every "
                           "N-th report row (0: none)")
-    run.add_argument("--query-every", type=int, default=0,
-                     help="also emit a row after every N updates (0: only "
-                          "at q markers)")
     run.add_argument("--report", required=True)
 
     summ = sub.add_parser("summarize", help="aggregate a report")
@@ -85,8 +82,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                           reps=args.reps, alpha=args.alpha)
     events = read_stream(args.stream)
     result = harness.run_stream(events, args.n, cfg,
-                                oracle_every=args.oracle_every,
-                                query_every=args.query_every)
+                                oracle_every=args.oracle_every)
     result.meta["stream"] = os.path.basename(args.stream)
     harness.write_report(args.report, result)
     print(f"wrote {len(result.rows)} rows to {args.report}")
@@ -106,13 +102,24 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
+# the package's input errors: bad parameters, streams, reports and files
+_INPUT_ERRORS = (harness.InvalidParams, harness.MalformedReport, GraphError,
+                 AlphaOutOfRange, ValueError, OSError)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command. An input error prints one `dynmatch: error:` line
+    to stderr and returns 2, the exit code of an argparse usage error."""
     args = build_parser().parse_args(argv)
-    if args.command == "gen":
-        return cmd_gen(args)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_summarize(args)
+    try:
+        if args.command == "gen":
+            return cmd_gen(args)
+        if args.command == "run":
+            return cmd_run(args)
+        return cmd_summarize(args)
+    except _INPUT_ERRORS as exc:
+        print(f"dynmatch: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Deque, Dict, List, Optional, Sequence
 
 from .graph import DynamicGraph, Edge, UpdateEvent, norm_edge
 from . import oracles
-from .estimator import Estimator, EstimatorConfig, SizeEstimate
+from .estimator import Estimator, EstimatorConfig
 
 REPORT_VERSION = 1
 
@@ -274,52 +274,40 @@ def _exact_mu(g: DynamicGraph) -> Optional[int]:
         return None
 
 
-def _emit(result: RunResult, est: Estimator, se: SizeEstimate,
-          oracle_every: int) -> None:
-    """Append the row of `se`. Every `oracle_every`-th row (counting from 1;
-    0 for none) also carries the exact size, unless the oracle is out of
-    range for the graph."""
-    row: Dict[str, object] = {
-        "type": "row", "t": est.g.ops, "nu": se.nu,
-        "m1": se.components.get("m1", 0.0),
-    }
-    if oracle_every > 0 and (len(result.rows) + 1) % oracle_every == 0:
-        mu = _exact_mu(est.g)
-        if mu is not None:
-            row["mu"] = mu
-            row["ratio"] = (mu / se.nu) if se.nu > 0 else None
-    result.rows.append(row)
-
-
 def run_stream(events: Sequence[UpdateEvent], n: int, cfg: EstimatorConfig,
-               oracle_every: int = 0, query_every: int = 0) -> RunResult:
-    """Feed events; emit a row at every `q` marker and every `query_every`
-    updates; attach exact sizes to every `oracle_every`-th row."""
-    if oracle_every < 0 or query_every < 0:
-        raise InvalidParams("oracle_every and query_every must be "
-                            "non-negative")
+               oracle_every: int = 0) -> RunResult:
+    """Feed events and emit a row at every `q` marker. Every
+    `oracle_every`-th row (counting from 1; 0 for none) also carries the
+    exact size, unless the oracle is out of range for the graph."""
+    if oracle_every < 0:
+        raise InvalidParams("oracle_every must be non-negative")
     est = Estimator(n, cfg)
     meta = {
         "type": "meta", "version": REPORT_VERSION, "n": n,
         "mode": cfg.mode, "eps": cfg.eps, "seed": cfg.seed,
         "reps": cfg.reps, "oracle_every": oracle_every,
-        "query_every": query_every, "deviations": DEVIATIONS,
+        "deviations": DEVIATIONS,
     }
     if cfg.mode == "tradeoff":
         meta["alpha"] = cfg.alpha
         meta["b_star"] = cfg.b_star
         meta["beta"] = cfg.beta
     result = RunResult(meta=meta)
-    since_query = 0
     for ev in events:
-        if ev.kind == "q":
-            _emit(result, est, est.estimate(), oracle_every)
+        if ev.kind != "q":
+            est.apply(ev)
             continue
-        est.apply(ev)
-        since_query += 1
-        if query_every > 0 and since_query >= query_every:
-            since_query = 0
-            _emit(result, est, est.estimate(), oracle_every)
+        se = est.estimate()
+        row: Dict[str, object] = {
+            "type": "row", "t": est.g.ops, "nu": se.nu,
+            "m1": se.components.get("m1", 0.0),
+        }
+        if oracle_every > 0 and (len(result.rows) + 1) % oracle_every == 0:
+            mu = _exact_mu(est.g)
+            if mu is not None:
+                row["mu"] = mu
+                row["ratio"] = (mu / se.nu) if se.nu > 0 else None
+        result.rows.append(row)
     return result
 
 

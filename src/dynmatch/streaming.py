@@ -243,15 +243,16 @@ class GeneralTwoPassResult:
     part: Bipartition
 
 
-def general_two_pass(edges: Sequence[Edge], eps: float, b: int = B_GENERAL,
+def general_two_pass(edges: Sequence[Edge], b: int = B_GENERAL,
                      seed: int = 0, n: Optional[int] = None
                      ) -> GeneralTwoPassResult:
     """Two-pass matching computation for general graphs.
 
     Returns mu(G[M1 union M2]) (exact on the sparse union subgraph; falls back
     to |M1| + #disjoint augmenting paths if the union exceeds the exact
-    oracle's cap), together with M1, M2 and M1_hat. In expectation over the
-    bipartition seed the value is >= (1/2 + 1/144 - eps) * mu(G) at b = 9.
+    oracle's cap), together with M1, M2 and M1_hat. The first pass is a
+    greedy maximal matching M1, so in expectation over the bipartition seed
+    the value is >= (1/2 + 1/144) * mu(G) at b = 9.
     """
     edges = list(edges)
     n = _vertex_range(edges, n)

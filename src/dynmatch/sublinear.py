@@ -17,7 +17,7 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graph import DynamicGraph, Matching
 from .oracles import RankFunction, greedy_maximal_matching
@@ -46,16 +46,17 @@ class AdjacencyOracle:
 
 @dataclass
 class QueryBudget:
-    """Probe cap per status query; on breach: restart once with fresh
-    randomness, then abort."""
+    """Probe cap per status query. When a sampled draw breaches it, the
+    sampling estimators replace that draw with one fresh draw if
+    `restarts > 0`; a breach otherwise raises `BudgetExceeded`."""
 
     max_probes: Optional[int] = None
     restarts: int = 1
 
     @staticmethod
-    def standard(n: int, edge_density: float = 1.0) -> "QueryBudget":
-        cap = int(50 * max(edge_density, 1.0) * math.log(n + 2) ** 2)
-        return QueryBudget(max_probes=cap, restarts=1)
+    def standard(n: int) -> "QueryBudget":
+        return QueryBudget(max_probes=int(50 * math.log(n + 2) ** 2),
+                           restarts=1)
 
 
 def n_too_small(n: int, eps: float) -> bool:
@@ -300,18 +301,42 @@ def gmm_vertex_status(host, v, ranks: RankFunction,
                       probe_source: Optional[AdjacencyOracle] = None) -> str:
     """Matched status of one vertex under the greedy matching of the host's
     full edge set, resolved locally. host: ImplicitSupergraph, _GraphListHost,
-    or any object with incident_edges(x)."""
+    or any object with neighbors_of(x). Spending more than the budget's
+    probes of `probe_source` raises `BudgetExceeded`."""
     sim = _LocalGMM(host, ranks, budget, probe_source)
     sim.begin_query()
-    try:
-        return "Matched" if sim.vertex_matched(v) else "Unmatched"
-    except BudgetExceeded:
-        if budget and budget.restarts > 0:
-            sim2 = _LocalGMM(host, RankFunction(ranks.seed ^ 0x9E3779B9),
-                             QueryBudget(budget.max_probes, 0), probe_source)
-            sim2.begin_query()
-            return "Matched" if sim2.vertex_matched(v) else "Unmatched"
-        raise
+    return "Matched" if sim.vertex_matched(v) else "Unmatched"
+
+
+def _sampled_hits(g: DynamicGraph, seed: int, delta: float, salt: int,
+                  draws: int, draw: Callable[[random.Random], Sequence],
+                  budget: Optional[QueryBudget]) -> int:
+    """How many of `draws` samples hit: each sample is `draw(rng)`, a list
+    of vertices of the implicit supergraph (parameter delta) of g, and it
+    hits when GMM under the ranks of `seed` matches all of them. The draws
+    come from one Random(seed ^ salt). A draw that breaches the budget
+    (default `QueryBudget.standard`) is replaced by one fresh draw when
+    `budget.restarts > 0`; any other breach raises `BudgetExceeded`."""
+    oracle = AdjacencyOracle(g)
+    if budget is None:
+        budget = QueryBudget.standard(g.n)
+    sim = _LocalGMM(ImplicitSupergraph(oracle, delta), RankFunction(seed),
+                    budget, oracle)
+    rng = random.Random(seed ^ salt)
+    hits = 0
+    for _ in range(draws):
+        xs = draw(rng)
+        sim.begin_query()
+        try:
+            hit = all(map(sim.vertex_matched, xs))
+        except BudgetExceeded:
+            if budget.restarts <= 0:
+                raise
+            xs = draw(rng)
+            sim.begin_query()
+            hit = all(map(sim.vertex_matched, xs))
+        hits += hit
+    return hits
 
 
 # -- estimators ------------------------------------------------------------
@@ -330,33 +355,14 @@ def mm_size_estimate(g: DynamicGraph, eps: float, seed: int,
     if not (0 < eps < 0.5):
         raise ValueError("eps must be in (0, 1/2)")
     n = g.n
-    ranks = RankFunction(seed)
     if n == 0 or g.m == 0:
         return 0.0
     if n_too_small(n, eps) and not force_sampling:
-        return float(len(greedy_maximal_matching(g, ranks)))
+        return float(len(greedy_maximal_matching(g, RankFunction(seed))))
     delta = eps / 4.0
-    oracle = AdjacencyOracle(g)
-    h = ImplicitSupergraph(oracle, delta)
-    if budget is None:
-        budget = QueryBudget.standard(n)
     samples = math.ceil(64.0 * math.log(n + 2) / eps**2)
-    rng = random.Random(seed ^ 0x5EED)
-    sim = _LocalGMM(h, ranks, budget, oracle)
-    matched = 0
-    for _ in range(samples):
-        v = ("v", rng.randrange(n))
-        sim.begin_query()
-        try:
-            hit = sim.vertex_matched(v)
-        except BudgetExceeded:
-            if budget.restarts <= 0:
-                raise
-            v = ("v", rng.randrange(n))
-            sim.begin_query()
-            hit = sim.vertex_matched(v)
-        if hit:
-            matched += 1
+    matched = _sampled_hits(g, seed, delta, 0x5EED, samples,
+                            lambda rng: [("v", rng.randrange(n))], budget)
     frac = matched / samples
     nu = (frac - eps / 4.0 - delta) * n / 2.0
     return max(0.0, nu)
@@ -406,43 +412,27 @@ def estimate_pair_matched(g: DynamicGraph, m_star: Matching, eps: float,
     Returns 0 outright when |M*| <= eps^2 * n. Otherwise samples
     L = ceil(sample_constant * ln(n) / eps^5) edges of M* with replacement,
     resolves both endpoints' status under GMM of the implicit supergraph
-    (delta = eps^2/8), and returns X*|M*|/L - n*eps^2/2, clamped at 0. Falls
-    back to the exact materialized count below the validity threshold.
+    (delta = eps^2/8), and returns X*|M*|/L - n*eps^2/2, clamped at 0. Below
+    the validity threshold it instead counts exactly the M* edges whose
+    endpoints are both matched by the base graph's greedy maximal matching
+    under the seeded ranks.
     """
     n = g.n
     size = len(m_star)
     if size <= eps**2 * n:
         return 0.0
     if n_too_small(n, eps) and not force_sampling:
-        # exact count against the seed-determined maximal matching of the
-        # base graph; the supergraph mechanism is only needed when sampling
+        # the supergraph mechanism is only needed when sampling
         m_prime = greedy_maximal_matching(g, RankFunction(seed))
         return float(sum(1 for (u, v) in m_star.edges()
                          if m_prime.is_matched(u) and m_prime.is_matched(v)))
-    oracle = AdjacencyOracle(g)
-    h = ImplicitSupergraph(oracle, eps**2 / 8.0)
-    ranks = RankFunction(seed)
-    if budget is None:
-        budget = QueryBudget.standard(n)
     L = pair_matched_sample_count(n, eps, sample_constant)
-    rng = random.Random(seed ^ 0xA55)
     edges = m_star.edges()
-    sim = _LocalGMM(h, ranks, budget, oracle)
-    hits = 0
-    for _ in range(L):
+
+    def draw(rng: random.Random) -> List[Tuple]:
         (u, v) = edges[rng.randrange(size)]
-        sim.begin_query()
-        try:
-            hit = (sim.vertex_matched(("v", u))
-                   and sim.vertex_matched(("v", v)))
-        except BudgetExceeded:
-            if budget.restarts <= 0:
-                raise
-            (u, v) = edges[rng.randrange(size)]
-            sim.begin_query()
-            hit = (sim.vertex_matched(("v", u))
-                   and sim.vertex_matched(("v", v)))
-        if hit:
-            hits += 1
+        return [("v", u), ("v", v)]
+
+    hits = _sampled_hits(g, seed, eps**2 / 8.0, 0xA55, L, draw, budget)
     kappa = hits * size / L - n * eps**2 / 2.0
     return max(0.0, kappa)

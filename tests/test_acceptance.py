@@ -284,7 +284,7 @@ def test_criterion_06_streaming_general_expectation():
             continue
         total = 0.0
         for seed in range(300):
-            total += general_two_pass(edges, 0.2, seed=seed, n=60).value
+            total += general_two_pass(edges, seed=seed, n=60).value
         mean = total / 300
         if mean < (0.5 + 1 / 144 - 0.2) * mu - 0.01 * mu - 1e-9:
             failures += 1

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dynmatch.graph import DynamicGraph, FractionalMatching, Matching
+from dynmatch.graph import DynamicGraph, FractionalMatching
 from dynmatch import oracles
 from dynmatch.amm import (AMfM, AMMMaintainer, DynamicMaximalMatching, Kernel,
                           KernelValidationFailed, ValidationFailed,
@@ -203,10 +203,12 @@ def test_maintainer_small_size_branch():
     g.insert(2, 3)
     g.delete(0, 1)
     g.delete(2, 3)
+    assert mnt.last_rebuild_report.get("empty")
     g.insert(4, 5)
-    assert mnt.last_rebuild_report.get("branch") in ("small-direct", None) or \
-        mnt.last_rebuild_report.get("empty")
-    assert len(mnt.matching()) == 1
+    # a one-edge matching is below 1/eps, and still rebuilt in level order
+    assert mnt.last_rebuild_report == {"epoch": 5, "branch": "kernel",
+                                       "kernel_edges": 1}
+    assert mnt.matching().edges() == [(4, 5)]
 
 
 def live_and_maximal(g, m):
@@ -282,11 +284,6 @@ def test_rebuild_equals_library_pipeline(eps):
         ref_kern = edge_color_and_sparsify(g, fractional_provider(g, eps), eps)
         assert level_ordered_edges(g, eps) == ref_kern.edges, name
         mnt = AMMMaintainer(g, eps=eps)
-        # the branch test reads only the matching's size, so a placeholder
-        # of size >= 1/(2*eps) sends the rebuild to the kernel branch at
-        # every n
-        mnt.m = Matching((n + 2 * i, n + 2 * i + 1)
-                         for i in range(math.ceil(0.5 / eps)))
         mnt.rebuild()
         rep = mnt.last_rebuild_report
         if not g.m:

@@ -91,7 +91,7 @@ def test_invalid_workload_params_rejected(w, kw):
         generate_workload(w, 20, seed=1, **kw)
 
 
-@pytest.mark.parametrize("kw", [{"oracle_every": -1}, {"query_every": -2}])
+@pytest.mark.parametrize("kw", [{"oracle_every": -1}])
 def test_invalid_run_params_rejected(kw):
     ev = generate_workload("random-er", 10, seed=1, horizon=20)
     with pytest.raises(InvalidParams):
@@ -134,17 +134,17 @@ def test_run_rows_and_ratios():
 
 
 def test_oracle_cadence_counts_rows():
-    """`oracle_every` means every N-th emitted row, whether rows come from
-    `q` markers or from `query_every`."""
+    """Rows come only from `q` markers, and `oracle_every` means every N-th
+    emitted row."""
     cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=1)
     marked = generate_workload("random-bipartite", 30, seed=2, horizon=300,
                                query_every=20)
+    res = run_stream(marked, 30, cfg, oracle_every=3)
+    assert [row["t"] for row in res.rows] == list(range(20, 301, 20))
+    with_mu = [i for i, row in enumerate(res.rows, 1) if "mu" in row]
+    assert with_mu == [3, 6, 9, 12, 15]
     bare = generate_workload("random-bipartite", 30, seed=2, horizon=300)
-    for res in (run_stream(marked, 30, cfg, oracle_every=3),
-                run_stream(bare, 30, cfg, oracle_every=3, query_every=20)):
-        assert len(res.rows) == 15
-        with_mu = [i for i, row in enumerate(res.rows, 1) if "mu" in row]
-        assert with_mu == [3, 6, 9, 12, 15]
+    assert run_stream(bare, 30, cfg, oracle_every=3).rows == []
 
 
 def test_adaptive_stream_marks_every_read():
@@ -265,3 +265,29 @@ def test_cli_runs_are_byte_identical(tmp_path):
                   "--eps", "0.3", "--seed", "2", "--reps", "5",
                   "--oracle-every", "1", "--report", r])
     assert open(r1, "rb").read() == open(r2, "rb").read()
+
+
+RUN_ARGS = ["--n", "10", "--mode", "bipartite", "--report", "{d}/r.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--workload", "random-er", "--n", "10", "--density", "3",
+     "--out", "{d}/x.txt"],
+    ["run", "--stream", "{d}/s.txt", "--eps", "2"] + RUN_ARGS,
+    ["run", "--stream", "{d}/missing.txt", "--eps", "0.2"] + RUN_ARGS,
+    ["run", "--stream", "{d}/far.txt", "--eps", "0.2"] + RUN_ARGS,
+    ["run", "--stream", "{d}/s.txt", "--eps", "0.2", "--n", "10", "--mode",
+     "tradeoff", "--alpha", "1.2", "--report", "{d}/r.json"],
+    ["summarize", "--report", "{d}/no_t.json"],
+], ids=["gen-density", "run-eps", "run-missing-stream",
+        "run-vertex-out-of-range", "run-alpha", "summarize-row-without-t"])
+def test_cli_input_errors_exit_2(tmp_path, capsys, argv):
+    """Bad input ends in one `dynmatch: error:` line and exit code 2."""
+    (tmp_path / "s.txt").write_text("i 0 1\nq\n")
+    (tmp_path / "far.txt").write_text("i 0 50\nq\n")
+    (tmp_path / "no_t.json").write_text(
+        '{"type": "meta"}\n{"type": "row", "nu": 1.0}\n')
+    assert cli_main([a.format(d=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dynmatch: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

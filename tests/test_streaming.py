@@ -114,9 +114,9 @@ def test_random_bipartition_balance():
 
 def test_general_two_pass_triangle_and_disjoint():
     for seed in range(8):
-        res = general_two_pass([(0, 1), (1, 2), (0, 2)], 0.2, seed=seed, n=3)
+        res = general_two_pass([(0, 1), (1, 2), (0, 2)], seed=seed, n=3)
         assert res.value == 1
-    res = general_two_pass(DISJOINT4, 0.2, seed=0, n=8)
+    res = general_two_pass(DISJOINT4, seed=0, n=8)
     assert res.value == 4 and res.M2.size == 0
 
 
@@ -125,7 +125,7 @@ def test_general_two_pass_path_flip_cases():
     # output is 2 exactly when both extreme edges cross the bipartition
     outcomes = set()
     for seed in range(32):
-        res = general_two_pass([(1, 2), (0, 1), (2, 3)], 0.2, seed=seed, n=4)
+        res = general_two_pass([(1, 2), (0, 1), (2, 3)], seed=seed, n=4)
         crosses = (res.part.crosses(0, 1), res.part.crosses(2, 3))
         expected = 2 if all(crosses) else 1
         assert res.value == expected
@@ -144,7 +144,7 @@ def test_general_value_never_exceeds_mu_and_lower_bound_edges():
             if u != v and (min(u, v), max(u, v)) not in seen:
                 seen.add((min(u, v), max(u, v)))
                 edges.append((u, v))
-        res = general_two_pass(edges, 0.2, seed=trial, n=n)
+        res = general_two_pass(edges, seed=trial, n=n)
         mu = oracles.max_matching_size(build(n, [tuple(sorted(e)) for e in edges]))
         assert len(res.M1) <= res.value <= mu
         # the pair-matched edges certify extra matching size
