@@ -320,9 +320,8 @@ class DynamicMaximalMatching:
             self._rematch(g, v)
 
     def _rematch(self, g: DynamicGraph, v: int) -> None:
+        # v was just freed and its old edge is gone, so no rematch took v
         partner = self.m.partner
-        if v in partner:
-            return
         for w in g.neighbors(v):
             if w not in partner:
                 self.m.add(v, w)

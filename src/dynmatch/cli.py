@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--query-every", type=int, default=0,
                      help="write a q marker after every N updates (0: "
                           "none); adaptive-adversary reads the estimate "
-                          "every N updates (0: every 20) and writes a q at "
+                          "every N updates (N >= 1) and writes a q at "
                           "each read")
     gen.add_argument("--mode", default="bipartite",
                      choices=["bipartite", "general", "tradeoff"],

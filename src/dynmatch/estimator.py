@@ -189,13 +189,14 @@ def bipartite_query(g: DynamicGraph, m1: Matching,
 
 def general_query(g: DynamicGraph, m1: Matching, b: int,
                   seed: int) -> Tuple[float, int]:
-    """|M1| + kappa/b for one bipartition draw, with kappa the exact count of
-    M1 edges whose endpoints both got matched in the second pass (clamped to
-    |M1|). Deterministically <= mu(g): those kappa edges host vertex-disjoint
-    augmenting structure worth at least kappa/b extra matching size."""
+    """|M1| + kappa/b for one bipartition draw, with kappa = |M1_hat|, the
+    number of M1 edges whose endpoints both got matched in the second pass
+    (a subset of M1, so kappa <= |M1|). Deterministically <= mu(g): at least
+    kappa/b of those edges carry vertex-disjoint 3-augmenting paths
+    (`streaming.disjoint_augmenting_paths`)."""
     part = random_bipartition(m1, g.n, seed)
     _, m1_hat = second_pass_general(g.snapshot_edges(), m1, part, b)
-    kappa = min(len(m1_hat), len(m1))
+    kappa = len(m1_hat)
     return len(m1) + kappa / b, kappa
 
 
@@ -233,7 +234,7 @@ def combine_amm_and_alpha(m_prime: Matching, m_second: Matching) -> Matching:
             out.add(u, v)
     for (u, v) in m_second.edges():
         c = count[find(u)]
-        if c[1] > c[0] and norm_edge(u, v) not in out:
+        if c[1] > c[0]:
             out.add(u, v)
     return out
 
@@ -287,7 +288,7 @@ class Estimator:
 
     def _live_matching(self) -> Matching:
         m1 = self.amm.matching()
-        if self.cfg.mode == "tradeoff" and self.alpha_source is not None:
+        if self.alpha_source is not None:
             return combine_amm_and_alpha(m1, self.alpha_source.m)
         return m1
 
@@ -316,7 +317,5 @@ class Estimator:
 
     def estimate(self) -> SizeEstimate:
         stamp = self.g.ops
-        if self.g.m == 0:
-            return SizeEstimate(0.0, stamp)
         nu, reps, comp = self._value(self._live_matching(), stamp)
         return SizeEstimate(nu, stamp, comp, reps)

@@ -185,9 +185,6 @@ class Matching:
     def vertices(self) -> List[int]:
         return list(self.partner)
 
-    def copy(self) -> "Matching":
-        return Matching(self.edges())
-
 
 class BMatching:
     """Multiset of edges with per-vertex capacities and load tracking."""
@@ -322,7 +319,12 @@ def parse_stream_lines(lines: Iterable[str]) -> List[UpdateEvent]:
         elif parts[0] in ("i", "d"):
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: expected '{parts[0]} u v'")
-            events.append(UpdateEvent(parts[0], int(parts[1]), int(parts[2])))
+            try:
+                u, v = map(int, parts[1:])
+            except ValueError:
+                raise GraphError(
+                    f"line {lineno}: non-integer vertex id") from None
+            events.append(UpdateEvent(parts[0], u, v))
         else:
             raise GraphError(f"line {lineno}: unknown event {parts[0]!r}")
     return events

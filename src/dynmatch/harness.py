@@ -140,14 +140,11 @@ def gen_sliding_window(n: int, horizon: int, seed: int,
     return events
 
 
-def gen_planted_matching(n: int, horizon: int = 0) -> List[UpdateEvent]:
-    """floor(n/2) disjoint edges across the id halves; maximum matching size
-    is known by construction."""
+def gen_planted_matching(n: int, horizon: int) -> List[UpdateEvent]:
+    """The first `horizon` of floor(n/2) disjoint edges across the id
+    halves; maximum matching size is known by construction."""
     h = n // 2
-    events = [UpdateEvent("i", i, h + i) for i in range(h)]
-    if horizon:
-        events = events[:horizon]
-    return events
+    return [UpdateEvent("i", i, h + i) for i in range(min(h, horizon))]
 
 
 class AdaptiveAdversary:
@@ -230,7 +227,7 @@ def generate_workload(workload: str, n: int, seed: int, horizon: int = 1000,
                       ) -> List[UpdateEvent]:
     """The update stream of `workload`, with a `q` marker after every
     `query_every` updates (0: none). The adaptive adversary instead reads
-    the estimate of `cfg` every `query_every` updates (0: every 20), and its
+    the estimate of `cfg` every `query_every` updates (at least 1), and its
     `q` markers are those reads."""
     if workload not in WORKLOADS:
         raise InvalidParams(f"unknown workload {workload!r}")
@@ -244,9 +241,11 @@ def generate_workload(workload: str, n: int, seed: int, horizon: int = 1000,
     if horizon < 0 or query_every < 0:
         raise InvalidParams("horizon and query_every must be non-negative")
     if workload == "adaptive-adversary":
+        if query_every < 1:
+            raise InvalidParams("adaptive-adversary needs query_every >= 1")
         if cfg is None:
             cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=seed)
-        return gen_adaptive(n, horizon, seed, density, query_every or 20, cfg)
+        return gen_adaptive(n, horizon, seed, density, query_every, cfg)
     if workload == "random-er":
         events = gen_random_er(n, horizon, seed, density)
     elif workload == "random-bipartite":
@@ -300,7 +299,7 @@ def run_stream(events: Sequence[UpdateEvent], n: int, cfg: EstimatorConfig,
         se = est.estimate()
         row: Dict[str, object] = {
             "type": "row", "t": est.g.ops, "nu": se.nu,
-            "m1": se.components.get("m1", 0.0),
+            "m1": se.components["m1"],
         }
         if oracle_every > 0 and (len(result.rows) + 1) % oracle_every == 0:
             mu = _exact_mu(est.g)
@@ -368,7 +367,13 @@ def _quantile(sorted_vals: List[float], q: float) -> float:
     return sorted_vals[max(0, idx)]
 
 
+CRITERIA_KEYS = ("ratio_max", "quantile", "ratio_lower")
+
+
 def summarize(result: RunResult, criteria: Optional[dict] = None) -> dict:
+    """Row counts and ratio quantiles; with `criteria`, also `pass`. Raises
+    InvalidParams unless `criteria` maps keys among CRITERIA_KEYS to finite
+    numbers, with quantile in (0, 1], so a misspelled gate cannot pass."""
     ratios = sorted(r["ratio"] for r in result.rows
                     if r.get("ratio") is not None)
     summary: Dict[str, object] = {
@@ -383,9 +388,18 @@ def summarize(result: RunResult, criteria: Optional[dict] = None) -> dict:
         summary["ratio_q50"] = _quantile(ratios, 0.5)
         summary["ratio_q99"] = _quantile(ratios, 0.99)
     if criteria is not None:
+        if not isinstance(criteria, dict):
+            raise InvalidParams("criteria must be a JSON object")
+        for key, val in criteria.items():
+            if key not in CRITERIA_KEYS:
+                raise InvalidParams(f"unknown criterion {key!r}")
+            if type(val) not in (int, float) or not math.isfinite(val):
+                raise InvalidParams(f"criterion {key} must be a finite number")
         ok = True
         bound = criteria.get("ratio_max")
         quantile = criteria.get("quantile", 0.99)
+        if not 0 < quantile <= 1:
+            raise InvalidParams("quantile must be in (0, 1]")
         lower = criteria.get("ratio_lower", 1.0)
         if bound is not None:
             if not ratios:

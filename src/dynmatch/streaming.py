@@ -13,12 +13,10 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graph import BMatching, DynamicGraph, Edge, Matching, norm_edge
 from . import oracles
-from .oracles import TooLarge
 
 B_BIPARTITE = 1.0 + math.sqrt(2.0)
 B_GENERAL = 9
@@ -135,8 +133,8 @@ class Bipartition:
     `random.Random(seed)` returns. Ranks come from a bisection into the
     sorted matched ids, and words are drawn only up to the highest rank
     asked for, so labelling k vertices costs O(k log |M1|) plus the words
-    drawn, never O(n). `side` and `provenance` materialize full O(n) maps
-    on first access.
+    drawn, never O(n). Labels are read one vertex at a time through
+    `side_of`; no full map over [0, n) is ever built.
     """
 
     def __init__(self, M1: Matching, n: int, seed: int):
@@ -162,15 +160,6 @@ class Bipartition:
 
     def crosses(self, u: int, v: int) -> bool:
         return self.side_of(u) != self.side_of(v)
-
-    @cached_property
-    def side(self) -> Dict[int, str]:
-        return {v: self.side_of(v) for v in range(self.n)}
-
-    @cached_property
-    def provenance(self) -> Dict[int, str]:
-        return {v: ("matching-edge" if v in self._partner else "random")
-                for v in range(self.n)}
 
 
 def random_bipartition(M1: Matching, n: int, seed: int) -> Bipartition:
@@ -203,9 +192,7 @@ def disjoint_augmenting_paths(M1_hat: Sequence[Edge], M1: Matching,
     lifts back to a path (the V(M1) middles are distinct by construction).
     """
     partner_in_m2: Dict[int, int] = {}
-    for (a, c), mult in m2.mult.items():
-        if mult <= 0:
-            continue
+    for (a, c) in m2.mult:
         for v in (a, c):
             if v not in partner_in_m2:
                 partner_in_m2[v] = c if v == a else a
@@ -248,26 +235,24 @@ def general_two_pass(edges: Sequence[Edge], b: int = B_GENERAL,
                      ) -> GeneralTwoPassResult:
     """Two-pass matching computation for general graphs.
 
-    Returns mu(G[M1 union M2]) (exact on the sparse union subgraph; falls back
-    to |M1| + #disjoint augmenting paths if the union exceeds the exact
-    oracle's cap), together with M1, M2 and M1_hat. The first pass is a
-    greedy maximal matching M1, so in expectation over the bipartition seed
-    the value is >= (1/2 + 1/144) * mu(G) at b = 9.
+    Returns mu(G[M1 union M2]), exact on the sparse union subgraph, together
+    with M1, M2 and M1_hat. The union is bipartite under `part`: each M1 edge
+    is split lower id left, and each M2 edge crosses by the second pass's
+    filter. So the exact oracle takes its layered route, which has no size
+    cap. The first pass is a greedy maximal matching M1, so in expectation
+    over the bipartition seed the value is >= (1/2 + 1/144) * mu(G) at b = 9.
     """
     edges = list(edges)
     n = _vertex_range(edges, n)
     m1 = first_pass_matching(edges)
     part = random_bipartition(m1, n, seed)
     m2, m1_hat = second_pass_general(edges, m1, part, b)
+    # an M2 edge has exactly one M1-matched endpoint, so it is no M1 edge
     union = DynamicGraph(n)
     for (u, v) in m1.edges():
         union.insert(u, v)
     for (u, v) in m2.mult:
-        if not union.edge_exists(u, v):
-            union.insert(u, v)
-    try:
-        value, _ = oracles.max_matching_exact(union)
-    except TooLarge:
-        value = len(m1) + len(disjoint_augmenting_paths(m1_hat, m1, m2))
+        union.insert(u, v)
+    value, _ = oracles.max_matching_exact(union)
     return GeneralTwoPassResult(value=value, M1=m1, M2=m2, M1_hat=m1_hat,
                                 part=part)

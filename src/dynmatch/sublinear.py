@@ -46,17 +46,16 @@ class AdjacencyOracle:
 
 @dataclass
 class QueryBudget:
-    """Probe cap per status query. When a sampled draw breaches it, the
-    sampling estimators replace that draw with one fresh draw if
-    `restarts > 0`; a breach otherwise raises `BudgetExceeded`."""
+    """Probe cap per status query (None: no cap). A single status query
+    that breaches it raises `BudgetExceeded`; the sampling estimators
+    replace a breaching draw with one fresh draw and raise only if that
+    draw breaches too."""
 
     max_probes: Optional[int] = None
-    restarts: int = 1
 
     @staticmethod
     def standard(n: int) -> "QueryBudget":
-        return QueryBudget(max_probes=int(50 * math.log(n + 2) ** 2),
-                           restarts=1)
+        return QueryBudget(max_probes=int(50 * math.log(n + 2) ** 2))
 
 
 def n_too_small(n: int, eps: float) -> bool:
@@ -315,8 +314,8 @@ def _sampled_hits(g: DynamicGraph, seed: int, delta: float, salt: int,
     of vertices of the implicit supergraph (parameter delta) of g, and it
     hits when GMM under the ranks of `seed` matches all of them. The draws
     come from one Random(seed ^ salt). A draw that breaches the budget
-    (default `QueryBudget.standard`) is replaced by one fresh draw when
-    `budget.restarts > 0`; any other breach raises `BudgetExceeded`."""
+    (default `QueryBudget.standard`) is replaced by one fresh draw; a
+    breach of that fresh draw raises `BudgetExceeded`."""
     oracle = AdjacencyOracle(g)
     if budget is None:
         budget = QueryBudget.standard(g.n)
@@ -330,8 +329,6 @@ def _sampled_hits(g: DynamicGraph, seed: int, delta: float, salt: int,
         try:
             hit = all(map(sim.vertex_matched, xs))
         except BudgetExceeded:
-            if budget.restarts <= 0:
-                raise
             xs = draw(rng)
             sim.begin_query()
             hit = all(map(sim.vertex_matched, xs))

@@ -7,9 +7,12 @@ from dynmatch.graph import DynamicGraph, Matching, UpdateEvent, validate
 from dynmatch import oracles
 from dynmatch.estimator import (AlphaOutOfRange, ContractedMember,
                                 ContractionFamily, Estimator, EstimatorConfig,
-                                SizeEstimate, bipartite_query,
+                                SizeEstimate, _mix, bipartite_query,
                                 combine_amm_and_alpha, general_query)
-from dynmatch.streaming import SecondPassConfig
+from dynmatch.harness import generate_workload
+from dynmatch.streaming import (B_GENERAL, SecondPassConfig,
+                                disjoint_augmenting_paths, random_bipartition,
+                                second_pass_general)
 
 
 def build(n, edges):
@@ -153,6 +156,41 @@ def test_general_query_lower_bound_certificate():
         for seed in range(4):
             nu, _ = general_query(g, m1, 9, seed)
             assert len(m1) <= nu <= mu + 1e-9
+
+
+@pytest.mark.parametrize("n,horizon", [(8192, 1500), (2048, 3000)])
+def test_general_value_certified_at_served_sizes(n, horizon):
+    """General mode's nu <= mu where the exact oracle's general route (64
+    touched vertices) cannot check it: at every `q`, repetition 0's pass is
+    rebuilt and M1 is augmented along the vertex-disjoint 3-augmenting
+    paths that its pair-matched edges carry. The result is a matching of
+    the live graph, so its size is at most mu, and it is at least nu."""
+    events = generate_workload("random-er", n, seed=14, horizon=horizon,
+                               density=4.0 / (n - 1), query_every=100)
+    est = Estimator(n, EstimatorConfig(mode="general", eps=0.3, seed=1,
+                                       reps=1))
+    augmented_at = 0
+    for ev in events:
+        if ev.kind != "q":
+            est.apply(ev)
+            continue
+        se = est.estimate()
+        m1 = est.amm.matching()
+        part = random_bipartition(m1, n, _mix(1, 0, est.g.ops))
+        m2, m1_hat = second_pass_general(est.g.snapshot_edges(), m1, part,
+                                         B_GENERAL)
+        assert len(m1_hat) == se.components["kappa"]
+        paths = disjoint_augmenting_paths(m1_hat, m1, m2)
+        hosts = {(min(u, v), max(u, v)) for (_, u, v, _) in paths}
+        augmented = Matching(e for e in m1.edges() if e not in hosts)
+        for (up, u, v, vp) in paths:
+            augmented.add(up, u)
+            augmented.add(v, vp)
+        assert validate(est.g, augmented)["ok"]
+        assert len(augmented) == len(m1) + len(paths)
+        assert se.nu <= len(augmented)
+        augmented_at += bool(paths)
+    assert augmented_at > 0
 
 
 def test_combiner_examples():

@@ -155,3 +155,6 @@ def test_stream_parse_errors_and_comments():
         parse_stream_lines(["i 1"])
     with pytest.raises(GraphError):
         parse_stream_lines(["q 3"])
+    # a non-integer vertex id names its line like every other error
+    with pytest.raises(GraphError, match="line 2"):
+        parse_stream_lines(["i 0 1", "i 1 x"])

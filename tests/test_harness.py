@@ -31,6 +31,10 @@ def test_planted_matching_known_size():
         assert e.kind == "i"
         assert e.u not in used and e.v not in used
         used.update((e.u, e.v))
+    # the horizon cuts the layout like every other workload's stream
+    assert generate_workload("planted-matching", 100, seed=0, horizon=0) == []
+    assert generate_workload("planted-matching", 100, seed=0,
+                             horizon=10) == ev[:10]
 
 
 def test_sliding_window_evicts_fifo():
@@ -85,6 +89,7 @@ def test_pair_workloads_reject_fewer_than_two_vertices(w, n):
     ("adaptive-adversary", {"horizon": -5}),
     ("sliding-window", {"query_every": -1, "window": 10}),
     ("adaptive-adversary", {"query_every": -1}),
+    ("adaptive-adversary", {"query_every": 0}),
 ])
 def test_invalid_workload_params_rejected(w, kw):
     with pytest.raises(InvalidParams):
@@ -109,7 +114,8 @@ def test_adaptive_adversary_logs_reads_and_reacts():
 
 def test_adaptive_workload_is_replayable():
     from dynmatch.graph import DynamicGraph
-    ev = generate_workload("adaptive-adversary", 30, seed=2, horizon=150)
+    ev = generate_workload("adaptive-adversary", 30, seed=2, horizon=150,
+                           query_every=20)
     g = DynamicGraph(30)
     for e in ev:
         g.apply(e)
@@ -177,6 +183,22 @@ def test_adaptive_stream_marks_every_read():
     assert [row["nu"] for row in res.rows] == reads
     for row in res.rows:
         assert row["ratio"] is None or row["ratio"] >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("mode", ["bipartite", "general", "tradeoff"])
+def test_empty_graph_rows(tmp_path, mode):
+    """Rows on an edgeless graph carry nu 0.0 and the integer m1 0, like
+    the rows on any other graph."""
+    ev = [UpdateEvent("q"), UpdateEvent("i", 0, 1), UpdateEvent("d", 0, 1),
+          UpdateEvent("q")]
+    res = run_stream(ev, 4, EstimatorConfig(mode=mode, eps=0.2))
+    assert [row["nu"] for row in res.rows] == [0.0, 0.0]
+    for row in res.rows:
+        assert type(row["m1"]) is int and row["m1"] == 0
+    path = str(tmp_path / "r.json")
+    write_report(path, res)
+    rows = open(path).read().splitlines()[1:]
+    assert len(rows) == 2 and all('"m1": 0,' in line for line in rows)
 
 
 def test_report_roundtrip_and_csv(tmp_path):
@@ -268,6 +290,16 @@ def test_cli_runs_are_byte_identical(tmp_path):
 
 
 RUN_ARGS = ["--n", "10", "--mode", "bipartite", "--report", "{d}/r.json"]
+# criteria files that are not an object of known, finite, numeric gates
+CRITERIA = {
+    "string-bound.json": '{"ratio_max": "x"}',
+    "list.json": "[1]",
+    "string-quantile.json": '{"ratio_max": 2, "quantile": "a"}',
+    "misspelled.json": '{"ratio_mx": 1.0}',
+    "bool-bound.json": '{"ratio_max": true}',
+    "nan-bound.json": '{"ratio_max": NaN}',
+    "zero-quantile.json": '{"ratio_max": 2, "quantile": 0}',
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,14 +311,27 @@ RUN_ARGS = ["--n", "10", "--mode", "bipartite", "--report", "{d}/r.json"]
     ["run", "--stream", "{d}/s.txt", "--eps", "0.2", "--n", "10", "--mode",
      "tradeoff", "--alpha", "1.2", "--report", "{d}/r.json"],
     ["summarize", "--report", "{d}/no_t.json"],
-], ids=["gen-density", "run-eps", "run-missing-stream",
-        "run-vertex-out-of-range", "run-alpha", "summarize-row-without-t"])
+    ["run", "--stream", "{d}/word.txt", "--eps", "0.2"] + RUN_ARGS,
+    ["gen", "--workload", "adaptive-adversary", "--n", "10",
+     "--out", "{d}/x.txt"],
+] + [["summarize", "--report", "{d}/ok.json", "--criteria",
+      "{d}/" + name] for name in CRITERIA],
+    ids=["gen-density", "run-eps", "run-missing-stream",
+         "run-vertex-out-of-range", "run-alpha", "summarize-row-without-t",
+         "run-non-integer-vertex", "gen-adaptive-without-reads"]
+    + ["criteria-" + name[:-5] for name in CRITERIA])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv):
     """Bad input ends in one `dynmatch: error:` line and exit code 2."""
     (tmp_path / "s.txt").write_text("i 0 1\nq\n")
     (tmp_path / "far.txt").write_text("i 0 50\nq\n")
+    (tmp_path / "word.txt").write_text("i 1 x\nq\n")
     (tmp_path / "no_t.json").write_text(
         '{"type": "meta"}\n{"type": "row", "nu": 1.0}\n')
+    (tmp_path / "ok.json").write_text(
+        '{"type": "meta"}\n'
+        '{"type": "row", "t": 1, "nu": 1.0, "mu": 1, "ratio": 1.0}\n')
+    for name, text in CRITERIA.items():
+        (tmp_path / name).write_text(text)
     assert cli_main([a.format(d=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dynmatch: error: ") and err.count("\n") == 1

@@ -98,17 +98,18 @@ def test_bipartite_bounds_hold_on_random_streams():
 def test_random_bipartition_rules():
     m1 = Matching([(0, 1)])
     part = random_bipartition(m1, 4, seed=9)
-    assert part.side[0] == "l" and part.side[1] == "r"
-    assert part.provenance[0] == "matching-edge"
-    assert part.provenance[2] == "random"
+    assert part.side_of(0) == "l" and part.side_of(1) == "r"
     again = random_bipartition(m1, 4, seed=9)
-    assert part.side == again.side
+    assert ([part.side_of(v) for v in range(4)]
+            == [again.side_of(v) for v in range(4)])
+    with pytest.raises(KeyError):
+        part.side_of(4)
 
 
 def test_random_bipartition_balance():
     m1 = Matching()
     part = random_bipartition(m1, 1000, seed=4)
-    left = sum(1 for v in range(1000) if part.side[v] == "l")
+    left = sum(1 for v in range(1000) if part.side_of(v) == "l")
     assert abs(left - 500) <= 3 * math.sqrt(1000)
 
 
@@ -269,7 +270,7 @@ def test_sparse_passes_bit_identical_to_dense_reference():
         seed = rng.randrange(2**63)
         side = dense_sides(m1, n, seed)
         part = random_bipartition(m1, n, seed)
-        assert part.side == side
+        assert {v: part.side_of(v) for v in range(n)} == side
         for b in (1, B_GENERAL):
             part = random_bipartition(m1, n, seed)
             m2, m1_hat = second_pass_general(edges, m1, part, b)

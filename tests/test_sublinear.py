@@ -77,7 +77,7 @@ def test_budget_breach_restarts_then_aborts():
             g.insert(u, v)
     o = AdjacencyOracle(g)
     h = ImplicitSupergraph(o, 0.5)
-    tight = QueryBudget(max_probes=1, restarts=0)
+    tight = QueryBudget(max_probes=1)
     sim = _LocalGMM(h, RankFunction(0), tight, o)
     sim.begin_query()
     with pytest.raises(BudgetExceeded):
@@ -85,17 +85,16 @@ def test_budget_breach_restarts_then_aborts():
 
 
 def test_budget_breach_redraws_once():
-    """A sampled draw that breaches the budget is replaced by one fresh draw
-    when restarts > 0, and raises when restarts = 0. The pinned values are
+    """A sampled draw that breaches the budget is replaced by one fresh
+    draw, and a breach of that fresh draw raises. The pinned values are
     those each estimator's own sampling loop gave before the loop was
     shared."""
     rng = random.Random(3)
     g = build(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
                    if rng.random() < 0.3])
     with pytest.raises(BudgetExceeded):
-        mm_size_estimate(g, 0.4, 0, QueryBudget(100, restarts=0),
-                         force_sampling=True)
-    assert mm_size_estimate(g, 0.4, 0, QueryBudget(100, restarts=1),
+        mm_size_estimate(g, 0.4, 0, QueryBudget(70), force_sampling=True)
+    assert mm_size_estimate(g, 0.4, 0, QueryBudget(100),
                             force_sampling=True) == 3.379545454545455
     # the same loop with the draws counted: each breach costs one more draw
     drawn = []
@@ -105,23 +104,22 @@ def test_budget_breach_redraws_once():
         return [("v", drawn[-1])]
 
     samples = math.ceil(64.0 * math.log(14) / 0.4**2)
-    _sampled_hits(g, 0, 0.1, 0x5EED, samples, draw,
-                  QueryBudget(100, restarts=1))
+    _sampled_hits(g, 0, 0.1, 0x5EED, samples, draw, QueryBudget(100))
     assert len(drawn) > samples
     g8 = build(8, [(i, 4 + i) for i in range(4)])
     mstar = Matching([(i, 4 + i) for i in range(4)])
     with pytest.raises(BudgetExceeded):
         estimate_pair_matched(g8, mstar, 0.5, 0, sample_constant=4,
-                              budget=QueryBudget(50, restarts=0),
+                              budget=QueryBudget(30),
                               force_sampling=True)
     assert estimate_pair_matched(g8, mstar, 0.5, 0, sample_constant=4,
-                                 budget=QueryBudget(50, restarts=1),
+                                 budget=QueryBudget(50),
                                  force_sampling=True) == 3.0
     # a single status query has no sample to redraw
     o = AdjacencyOracle(g)
     with pytest.raises(BudgetExceeded):
         gmm_vertex_status(ImplicitSupergraph(o, 0.1), ("v", 0),
-                          RankFunction(0), QueryBudget(1, restarts=1), o)
+                          RankFunction(0), QueryBudget(1), o)
 
 
 def test_supergraph_sizes_and_rules():
