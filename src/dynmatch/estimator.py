@@ -18,13 +18,14 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import DynamicGraph, Edge, Matching, UpdateEvent, norm_edge
 from . import oracles
 from .amm import AMMMaintainer, DynamicMaximalMatching
-from .streaming import (B_GENERAL, SecondPassConfig, random_bipartition,
-                        second_pass_bipartite, second_pass_general)
+from .streaming import (B_GENERAL, Boundary, SecondPassConfig,
+                        random_bipartition, second_pass_bipartite,
+                        second_pass_general)
 
 
 class AlphaOutOfRange(Exception):
@@ -36,7 +37,11 @@ MIN_TRADEOFF_GAIN = 1e-4
 
 @dataclass
 class EstimatorConfig:
-    """Mode, precision and seeding, plus the mode's derived constants."""
+    """Mode, precision and seeding, plus the mode's derived constants.
+
+    `reps` is the number of bipartition draws averaged per general or
+    tradeoff estimate. It changes no bipartite value: that value is
+    deterministic, and its `rep_values` is `[nu] * reps`."""
 
     mode: str
     eps: float
@@ -188,16 +193,22 @@ def bipartite_query(g: DynamicGraph, m1: Matching,
 
 
 def general_query(g: DynamicGraph, m1: Matching, b: int,
-                  seed: int) -> Tuple[float, int]:
-    """|M1| + kappa/b for one bipartition draw, with kappa = |M1_hat|, the
-    number of M1 edges whose endpoints both got matched in the second pass
-    (a subset of M1, so kappa <= |M1|). Deterministically <= mu(g): at least
-    kappa/b of those edges carry vertex-disjoint 3-augmenting paths
-    (`streaming.disjoint_augmenting_paths`)."""
-    part = random_bipartition(m1, g.n, seed)
-    _, m1_hat = second_pass_general(g.snapshot_edges(), m1, part, b)
-    kappa = len(m1_hat)
-    return len(m1) + kappa / b, kappa
+                  seeds: Sequence[int]) -> List[Tuple[float, int]]:
+    """(|M1| + kappa/b, kappa) per bipartition seed, with kappa = |M1_hat|,
+    the number of M1 edges whose endpoints both got matched in the second
+    pass (a subset of M1, so kappa <= |M1|). Deterministically <= mu(g): at
+    least kappa/b of those edges carry vertex-disjoint 3-augmenting paths
+    (`streaming.disjoint_augmenting_paths`). One edge snapshot and boundary
+    serve every seed: O(m + (|M1| + |B|) log |M1|) once, then
+    O(|B| + |M1| + coin words) per seed."""
+    boundary = Boundary(g.snapshot_edges(), m1)
+    out = []
+    for seed in seeds:
+        _, m1_hat = second_pass_general(
+            boundary, random_bipartition(m1, g.n, seed), b)
+        kappa = len(m1_hat)
+        out.append((len(m1) + kappa / b, kappa))
+    return out
 
 
 def combine_amm_and_alpha(m_prime: Matching, m_second: Matching) -> Matching:
@@ -304,16 +315,14 @@ class Estimator:
             return nu, [nu] * cfg.reps, {"m1": len(m1), "psi": psi,
                                          "bound": bound}
         b = cfg.b_general if cfg.mode == "general" else cfg.b_star
-        # a general pass touches the edges and the matched ids, not all of [n]
+        # charged as one pass over the edges and the matched ids per
+        # repetition, not all of [n]; the shared boundary is not discounted
         self.query_work += (g.m + len(m1)) * cfg.reps
-        vals = []
-        last_kappa = 0
-        for r in range(cfg.reps):
-            nu_r, last_kappa = general_query(
-                g, m1, b, _mix(cfg.seed, r, stamp))
-            vals.append(nu_r)
+        draws = general_query(
+            g, m1, b, [_mix(cfg.seed, r, stamp) for r in range(cfg.reps)])
+        vals = [nu_r for nu_r, _ in draws]
         return (statistics.fmean(vals), vals,
-                {"m1": len(m1), "kappa": last_kappa})
+                {"m1": len(m1), "kappa": draws[-1][1]})
 
     def estimate(self) -> SizeEstimate:
         stamp = self.g.ops

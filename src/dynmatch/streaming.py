@@ -130,19 +130,27 @@ class Bipartition:
     Coin contract: the free vertex of rank i (the i-th free id in increasing
     order) is "r" iff the top bit of the seed generator's i-th 32-bit output
     word is set, which is exactly what the i-th `getrandbits(1)` call on
-    `random.Random(seed)` returns. Ranks come from a bisection into the
-    sorted matched ids, and words are drawn only up to the highest rank
-    asked for, so labelling k vertices costs O(k log |M1|) plus the words
-    drawn, never O(n). Labels are read one vertex at a time through
-    `side_of`; no full map over [0, n) is ever built.
+    `random.Random(seed)` returns. Words are drawn on demand, and draws in
+    pieces give the bytes of one `getrandbits(32 * k)` call, so labelling
+    never costs O(n). `side_of` ranks a free id by bisection into M1's
+    sorted matched ids, sorted on first use. M1 is read, not copied.
     """
 
     def __init__(self, M1: Matching, n: int, seed: int):
         self.n = n
-        self._partner = dict(M1.partner)
-        self._matched = sorted(M1.partner)
+        self._partner = M1.partner
+        self._matched: Optional[List[int]] = None
         self._rng = random.Random(seed)
         self._words = bytearray()
+
+    def coins(self, words: int) -> bytearray:
+        """The first `words` coin words; rank i's coin is in `coin_byte(i)`."""
+        drawn = len(self._words) >> 2
+        if words > drawn:
+            k = words - drawn
+            self._words += self._rng.getrandbits(32 * k).to_bytes(
+                4 * k, "little")
+        return self._words
 
     def side_of(self, v: int) -> str:
         if not 0 <= v < self.n:
@@ -150,40 +158,66 @@ class Bipartition:
         partner = self._partner.get(v)
         if partner is not None:
             return "l" if v < partner else "r"
+        if self._matched is None:
+            self._matched = sorted(self._partner)
         rank = v - bisect_left(self._matched, v)
-        drawn = len(self._words) >> 2
-        if rank >= drawn:
-            k = rank + 1 - drawn
-            self._words += self._rng.getrandbits(32 * k).to_bytes(
-                4 * k, "little")
-        return "r" if self._words[4 * rank + 3] >> 7 else "l"
+        return "r" if self.coins(rank + 1)[coin_byte(rank)] >> 7 else "l"
 
     def crosses(self, u: int, v: int) -> bool:
         return self.side_of(u) != self.side_of(v)
+
+
+def coin_byte(rank: int) -> int:
+    return 4 * rank + 3  # the top byte of a little-endian word
 
 
 def random_bipartition(M1: Matching, n: int, seed: int) -> Bipartition:
     return Bipartition(M1, n, seed)
 
 
-def second_pass_general(edges: Sequence[Edge], M1: Matching, part: Bipartition,
+class Boundary:
+    """The seed-independent part of the general second pass, shared by all
+    bipartition draws: the edges with exactly one M1-matched endpoint, in
+    edge order, each as (edge, coin byte of its free endpoint, 1 iff its
+    matched endpoint is "r"), and the number of coin `words` they read.
+    Costs O(m + (|M1| + |B|) log |M1|) for B the boundary."""
+
+    def __init__(self, edges: Iterable[Edge], M1: Matching):
+        partner = self.partner = M1.partner
+        self.m1_edges = M1.edges()
+        matched = sorted(partner)
+        self.edges: List[Tuple[Edge, int, int]] = []
+        self.words = 0
+        for e in edges:
+            u, v = e
+            if (u in partner) == (v in partner):
+                continue
+            m, free = (u, v) if u in partner else (v, u)
+            rank = free - bisect_left(matched, free)
+            self.words = max(self.words, rank + 1)
+            self.edges.append((e, coin_byte(rank), int(m > partner[m])))
+
+
+def second_pass_general(boundary: Boundary, part: Bipartition,
                         b: int) -> Tuple[BMatching, List[Edge]]:
-    """Maximal b-matching M2 (caps 1 matched / b free) on the edges crossing
-    the bipartition between V(M1) and free vertices, plus M1_hat: the M1 edges
-    with both endpoints matched in M2. Capacities exist only for endpoints of
-    the kept edges, so one pass costs O((m + |M1|) log |M1|) whatever n is."""
-    matched = M1.partner
-    e2 = [e for e in edges
-          if (e[0] in matched) != (e[1] in matched) and part.crosses(*e)]
+    """Maximal b-matching M2 (caps 1 matched / b free) on the boundary edges
+    crossing `part`, a bipartition of the boundary's M1, plus M1_hat: the M1
+    edges with both endpoints matched in M2. The coins come in one draw and
+    capacities exist only for endpoints of the kept edges, so one pass costs
+    O(|B| + |M1| + coin words) whatever n is."""
+    coins = part.coins(boundary.words)
+    e2 = [e for (e, byte, right) in boundary.edges
+          if coins[byte] >> 7 != right]
+    matched = boundary.partner
     caps = {v: (1 if v in matched else b) for e in e2 for v in e}
     m2 = bulk_maximal_b_matching(e2, caps)
-    m1_hat = [e for e in M1.edges()
+    m1_hat = [e for e in boundary.m1_edges
               if m2.load.get(e[0], 0) >= 1 and m2.load.get(e[1], 0) >= 1]
     return m2, m1_hat
 
 
-def disjoint_augmenting_paths(M1_hat: Sequence[Edge], M1: Matching,
-                              m2: BMatching) -> List[Tuple[int, int, int, int]]:
+def disjoint_augmenting_paths(M1_hat: Sequence[Edge], m2: BMatching
+                              ) -> List[Tuple[int, int, int, int]]:
     """Vertex-disjoint 3-augmenting paths u'-u-v-v' from M1_hat.
 
     Contract each candidate path to the edge (u', v') between its free
@@ -246,7 +280,7 @@ def general_two_pass(edges: Sequence[Edge], b: int = B_GENERAL,
     n = _vertex_range(edges, n)
     m1 = first_pass_matching(edges)
     part = random_bipartition(m1, n, seed)
-    m2, m1_hat = second_pass_general(edges, m1, part, b)
+    m2, m1_hat = second_pass_general(Boundary(edges, m1), part, b)
     # an M2 edge has exactly one M1-matched endpoint, so it is no M1 edge
     union = DynamicGraph(n)
     for (u, v) in m1.edges():

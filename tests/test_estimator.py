@@ -10,7 +10,7 @@ from dynmatch.estimator import (AlphaOutOfRange, ContractedMember,
                                 SizeEstimate, _mix, bipartite_query,
                                 combine_amm_and_alpha, general_query)
 from dynmatch.harness import generate_workload
-from dynmatch.streaming import (B_GENERAL, SecondPassConfig,
+from dynmatch.streaming import (B_GENERAL, Boundary, SecondPassConfig,
                                 disjoint_augmenting_paths, random_bipartition,
                                 second_pass_general)
 
@@ -129,16 +129,14 @@ def test_bipartite_query_examples():
 def test_general_query_examples():
     g = build(8, [(i, i + 4) for i in range(4)])
     m1 = Matching([(i, i + 4) for i in range(4)])
-    for seed in range(5):
-        nu, kappa = general_query(g, m1, 9, seed)
+    for nu, kappa in general_query(g, m1, 9, range(5)):
         assert kappa == 0 and nu == 4.0
     tri = build(3, [(0, 1), (1, 2), (0, 2)])
-    for seed in range(8):
-        nu, _ = general_query(tri, Matching([(0, 1)]), 9, seed)
+    for nu, _ in general_query(tri, Matching([(0, 1)]), 9, range(8)):
         assert nu == 1.0
     c6 = build(6, [(i, (i + 1) % 6) for i in range(6)])
     m1 = Matching([(0, 1), (2, 3), (4, 5)])
-    nu, _ = general_query(c6, m1, 9, 0)
+    [(nu, _)] = general_query(c6, m1, 9, [0])
     assert nu == 3.0
 
 
@@ -153,8 +151,7 @@ def test_general_query_lower_bound_certificate():
                     g.insert(u, v)
         m1 = oracles.greedy_maximal_matching(g, oracles.RankFunction(trial))
         mu = oracles.max_matching_size(g)
-        for seed in range(4):
-            nu, _ = general_query(g, m1, 9, seed)
+        for nu, _ in general_query(g, m1, 9, range(4)):
             assert len(m1) <= nu <= mu + 1e-9
 
 
@@ -177,10 +174,10 @@ def test_general_value_certified_at_served_sizes(n, horizon):
         se = est.estimate()
         m1 = est.amm.matching()
         part = random_bipartition(m1, n, _mix(1, 0, est.g.ops))
-        m2, m1_hat = second_pass_general(est.g.snapshot_edges(), m1, part,
-                                         B_GENERAL)
+        m2, m1_hat = second_pass_general(
+            Boundary(est.g.snapshot_edges(), m1), part, B_GENERAL)
         assert len(m1_hat) == se.components["kappa"]
-        paths = disjoint_augmenting_paths(m1_hat, m1, m2)
+        paths = disjoint_augmenting_paths(m1_hat, m2)
         hosts = {(min(u, v), max(u, v)) for (_, u, v, _) in paths}
         augmented = Matching(e for e in m1.edges() if e not in hosts)
         for (up, u, v, vp) in paths:

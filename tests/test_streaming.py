@@ -1,14 +1,15 @@
 import math
 import random
+import statistics
 
 import pytest
 
 from dynmatch.graph import BMatching, DynamicGraph, Matching
 from dynmatch import estimator, oracles
-from dynmatch.streaming import (B_BIPARTITE, B_GENERAL, NonBipartiteInput,
-                                SecondPassConfig, bipartite_two_pass,
-                                bulk_maximal_b_matching,
-                                disjoint_augmenting_paths,
+from dynmatch.streaming import (B_BIPARTITE, B_GENERAL, Boundary,
+                                NonBipartiteInput, SecondPassConfig,
+                                bipartite_two_pass, bulk_maximal_b_matching,
+                                coin_byte, disjoint_augmenting_paths,
                                 first_pass_matching, general_two_pass,
                                 random_bipartition, second_pass_general)
 
@@ -165,8 +166,9 @@ def test_disjoint_paths_size_and_disjointness():
                 edges.append((u, v))
         m1 = first_pass_matching(edges)
         part = random_bipartition(m1, n, trial)
-        m2, m1_hat = second_pass_general(edges, m1, part, B_GENERAL)
-        paths = disjoint_augmenting_paths(m1_hat, m1, m2)
+        m2, m1_hat = second_pass_general(Boundary(edges, m1), part,
+                                         B_GENERAL)
+        paths = disjoint_augmenting_paths(m1_hat, m2)
         assert len(paths) >= len(m1_hat) / B_GENERAL - 1e-9
         used = set()
         g = build(n, [tuple(sorted(e)) for e in edges])
@@ -273,13 +275,13 @@ def test_sparse_passes_bit_identical_to_dense_reference():
         assert {v: part.side_of(v) for v in range(n)} == side
         for b in (1, B_GENERAL):
             part = random_bipartition(m1, n, seed)
-            m2, m1_hat = second_pass_general(edges, m1, part, b)
+            m2, m1_hat = second_pass_general(Boundary(edges, m1), part, b)
             ref_m2, ref_hat = dense_second_pass_general(edges, m1, side, b, n)
             assert list(m2.mult.items()) == list(ref_m2.mult.items())
             assert m1_hat == ref_hat
         g = build(n, [(min(e), max(e)) for e in edges])
-        assert (estimator.general_query(g, m1, B_GENERAL, seed)
-                == dense_general_query(g, m1, B_GENERAL, seed))
+        assert (estimator.general_query(g, m1, B_GENERAL, [seed])
+                == [dense_general_query(g, m1, B_GENERAL, seed)])
         cases += 1
     assert cases >= 200
 
@@ -316,3 +318,83 @@ def test_coins_are_drawn_only_up_to_the_highest_rank_asked():
     assert len(part._words) == 4 * 5
     part.side_of(3)
     assert len(part._words) == 4 * 5
+
+
+def test_ragged_coin_draws_equal_one_draw():
+    rng = random.Random(23)
+    for trial in range(30):
+        seed = rng.randrange(2**63)
+        words = rng.randrange(1, 200)
+        whole = random.Random(seed).getrandbits(32 * words).to_bytes(
+            4 * words, "little")
+        part = random_bipartition(Matching(), words, seed)
+        asked = sorted(rng.randrange(words + 1) for _ in range(5)) + [words]
+        for k in asked:
+            assert bytes(part.coins(k)[:4 * k]) == whole[:4 * k]
+        bits = random.Random(seed)
+        assert all(whole[coin_byte(i)] >> 7 == bits.getrandbits(1)
+                   for i in range(words))
+
+
+def _estimate_matches_dense_reference(est):
+    """Compare one estimate with the dense per-draw reference, on the same
+    M1 and the same per-repetition seeds; return that M1's boundary."""
+    cfg, g = est.cfg, est.g
+    b = cfg.b_general if cfg.mode == "general" else cfg.b_star
+    m1 = est._live_matching()
+    se = est.estimate()
+    ref = [dense_general_query(g, m1, b, estimator._mix(cfg.seed, r, g.ops))
+           for r in range(cfg.reps)]
+    assert se.rep_values == [nu for nu, _ in ref]
+    assert se.nu == statistics.fmean(nu for nu, _ in ref)
+    assert se.components == {"m1": len(m1), "kappa": ref[-1][1]}
+    return Boundary(g.snapshot_edges(), m1)
+
+
+@pytest.mark.parametrize("mode", ["general", "tradeoff"])
+def test_shared_query_estimate_matches_dense_reference(mode):
+    def fresh(n, edges=()):
+        est = estimator.Estimator(n, estimator.EstimatorConfig(
+            mode=mode, eps=0.25, seed=5, reps=25))
+        for e in edges:
+            est.insert(*e)
+        return est
+
+    # edgeless graph, empty M1: no coin word is read
+    bd = _estimate_matches_dense_reference(fresh(7))
+    assert bd.words == 0 and bd.m1_edges == []
+    # edges, but M1 is perfect, so the boundary is empty
+    bd = _estimate_matches_dense_reference(fresh(4, [(0, 1), (2, 3), (1, 2)]))
+    assert bd.edges == [] and len(bd.m1_edges) == 2
+    # the only boundary edge reads the last coin word: free 9 has rank 7
+    est = fresh(10, [(0, 1), (1, 9)])
+    bd = _estimate_matches_dense_reference(est)
+    assert bd.edges == [((1, 9), coin_byte(7), 1)] and bd.words == 8
+    # an update that changes only the boundary: M1 stays, the served
+    # values follow the new boundary
+    before = est.estimate().rep_values
+    est.insert(0, 8)
+    bd = _estimate_matches_dense_reference(est)
+    assert bd.m1_edges == [(0, 1)] and len(bd.edges) == 2
+    assert est.estimate().rep_values != before
+    est.delete(1, 9)
+    bd = _estimate_matches_dense_reference(est)
+    assert bd.m1_edges == [(0, 1)] and len(bd.edges) == 1
+    # random ER streams with churn
+    rng = random.Random(24)
+    for n in (12, 60, 300):
+        est = fresh(n)
+        live = set()
+        for step in range(4 * n):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u == v:
+                continue
+            e = (min(u, v), max(u, v))
+            if e in live:
+                live.discard(e)
+                est.delete(*e)
+            else:
+                live.add(e)
+                est.insert(*e)
+            if step % n == n - 1:
+                _estimate_matches_dense_reference(est)
