@@ -301,12 +301,14 @@ class DynamicMaximalMatching:
     preserved exactly (every uncovered edge would have had a free endpoint
     pair, which the repair rule eliminates). `AMMMaintainer` inherits this
     rule; the estimator's tradeoff source and the contracted copies of the
-    contraction library use it directly.
+    contraction library use it directly. `work` counts the neighbours the
+    repairs read.
     """
 
     def __init__(self, g: DynamicGraph):
         self.m = Matching()
         self.g = g
+        self.work = 0
 
     def on_update(self, g: DynamicGraph, ev: UpdateEvent) -> None:
         m = self.m
@@ -316,16 +318,18 @@ class DynamicMaximalMatching:
                 m.add(u, v)
         elif ev.kind == "d" and m.partner.get(u) == v:
             m.remove(u, v)
-            self._rematch(g, u)
-            self._rematch(g, v)
+            self.work += self._rematch(g, u) + self._rematch(g, v)
 
-    def _rematch(self, g: DynamicGraph, v: int) -> None:
+    def _rematch(self, g: DynamicGraph, v: int) -> int:
+        """Match v to its first free neighbour; returns the neighbours read."""
         # v was just freed and its old edge is gone, so no rematch took v
         partner = self.m.partner
-        for w in g.neighbors(v):
+        reads = 0
+        for reads, w in enumerate(g.neighbors(v), 1):
             if w not in partner:
                 self.m.add(v, w)
-                return
+                break
+        return reads
 
 
 class AMMMaintainer(DynamicMaximalMatching):
@@ -337,7 +341,8 @@ class AMMMaintainer(DynamicMaximalMatching):
     every epoch `rebuild` recomputes the matching from the live graph and
     swaps it in. The latest rebuild's report is kept for checkpoint audits:
     `empty` on an edgeless graph, otherwise `branch="kernel"` and the
-    `kernel_edges` it read.
+    `kernel_edges` it read. `work` charges 1 per update, the neighbours its
+    repair reads, and g.m per rebuild.
     """
 
     def __init__(self, g: DynamicGraph, eps: float):
@@ -346,7 +351,6 @@ class AMMMaintainer(DynamicMaximalMatching):
         self.epoch_index = 0
         self.updates_in_epoch = 0
         self.rebuild_count = 0
-        self.work = 0
         self.last_rebuild_report: dict = {}
         self._set_epoch_length()
 

@@ -180,16 +180,21 @@ class ContractionFamily:
 # -- mode queries ----------------------------------------------------------
 
 
-def bipartite_query(g: DynamicGraph, m1: Matching,
-                    spc: SecondPassConfig) -> Tuple[float, float]:
-    """(1-delta)|M1| + (delta/k)*psi with psi computed exactly by the
-    saturating second pass over the live edge set (query-time replay). Falls
-    back to |M1| if the graph is not 2-colorable; that is still a valid lower
-    bound."""
-    if oracles.bipartition(g) is None:
-        return float(len(m1)), 0.0
+def bipartite_query(g: DynamicGraph, m1: Matching, spc: SecondPassConfig
+                    ) -> Tuple[float, float, int]:
+    """(nu, psi, reads): nu = (1-delta)|M1| + (delta/k)*psi, with psi = |M2|
+    computed exactly by the saturating second pass over the live edge set
+    (query-time replay), and `reads` the edge and vertex reads spent. Only a
+    mix above |M1| is worth certifying, so only then does the query 2-colour
+    the graph; if it is not 2-colourable the query returns (|M1|, 0), still
+    a valid lower bound. Costs O(m), plus O(n + m) when it colours."""
     nu, m2 = second_pass_bipartite(g.snapshot_edges(), m1, spc)
-    return nu, float(m2.size)
+    if nu <= len(m1):
+        return nu, float(m2.size), g.m
+    reads = 2 * g.m + g.n
+    if oracles.bipartition(g) is None:
+        return float(len(m1)), 0.0, reads
+    return nu, float(m2.size), reads
 
 
 def general_query(g: DynamicGraph, m1: Matching, b: int,
@@ -262,12 +267,14 @@ class Estimator:
     (in tradeoff mode) the 2-approximation source.
 
     estimate() is read-only, available after every update, and queries the
-    live graph once, with the maintained matching as M1 (combined with the
-    2-approximation in tradeoff mode). In bipartite mode it serves
+    live graph at most once, with the maintained matching as M1 (combined
+    with the 2-approximation in tradeoff mode). In bipartite mode it serves
     max((1-delta)|M1| + (delta/k)|M2|, |M1|): both terms are at most mu
     because M1 is a live matching, and the max is at least the paper's
     value, so its approximation bound stands. `components["bound"]` names
-    the term that served ("mix" or "m1")."""
+    the term that served ("mix" or "m1"). Before any query, an exact O(1)
+    check bounds |M2| by free_cap times the free vertices; when even that
+    mix is at most |M1|, |M1| is served with no query and no `psi`."""
 
     def __init__(self, n: int, cfg: EstimatorConfig):
         self.cfg = cfg
@@ -307,13 +314,21 @@ class Estimator:
                ) -> Tuple[float, List[float], Dict[str, object]]:
         cfg, g = self.cfg, self.g
         if cfg.mode == "bipartite":
-            self.query_work += g.m + g.n
-            mix, psi = bipartite_query(g, m1, cfg.spc)
-            bound = "mix" if mix > len(m1) else "m1"
-            nu = max(mix, float(len(m1)))
+            size = len(m1)
+            nu, comp = float(size), {"m1": size, "bound": "m1"}
+            # each free vertex holds at most free_cap M2 copies, and the mix
+            # is monotone in |M2|: if even that many cannot lift it above
+            # |M1|, no second pass can
+            spc = cfg.spc
+            if spc.mix(size, spc.free_cap * (g.n - 2 * size)) <= size:
+                self.query_work += 1
+            else:
+                mix, comp["psi"], reads = bipartite_query(g, m1, spc)
+                self.query_work += reads
+                if mix > size:
+                    nu, comp["bound"] = mix, "mix"
             # each draw is deterministic; repetitions agree, median = value
-            return nu, [nu] * cfg.reps, {"m1": len(m1), "psi": psi,
-                                         "bound": bound}
+            return nu, [nu] * cfg.reps, comp
         b = cfg.b_general if cfg.mode == "general" else cfg.b_star
         # charged as one pass over the edges and the matched ids per
         # repetition, not all of [n]; the shared boundary is not discounted

@@ -60,6 +60,17 @@ class RankFunction:
         h.update(f"({ra}, {rb})".encode())
         return (int.from_bytes(h.digest(), "little") / 2.0**64, name)
 
+    def ranks_of(self, names: Sequence[bytes]) -> List[float]:
+        """The rank of each edge given as the encoded `repr` of its
+        canonical name, the bytes `sort_key` hashes."""
+        prf = self._prf
+        out = []
+        for name in names:
+            h = prf.copy()
+            h.update(name)
+            out.append(int.from_bytes(h.digest(), "little") / 2.0**64)
+        return out
+
 
 # -- exact maximum matching ------------------------------------------------
 

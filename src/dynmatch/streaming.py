@@ -45,6 +45,17 @@ class SecondPassConfig:
         k = math.ceil(8.0 / (eps_prime * b))
         return SecondPassConfig(b=b, k=k, delta=1.0 / b, eps_prime=eps_prime)
 
+    @property
+    def free_cap(self) -> int:
+        """floor(k*b), the M2 capacity of a free vertex."""
+        return int(self.k * self.b)
+
+    def mix(self, m1: int, m2: int) -> float:
+        """(1-delta)*m1 + (delta/k)*m2. Correctly rounded float operations
+        are monotone, so the value never falls as m2 grows: an upper bound
+        on |M2| bounds the mix exactly."""
+        return (1.0 - self.delta) * m1 + (self.delta / self.k) * m2
+
 
 def first_pass_matching(edges: Iterable[Edge]) -> Matching:
     """Greedy maximal matching in stream order (maximal, hence valid for any
@@ -93,12 +104,11 @@ def second_pass_bipartite(edges: Sequence[Edge], M1: Matching,
     combined estimate (1-delta)|M1| + (delta/k)|M2|. Capacities exist only
     for endpoints of those edges, so the pass costs O(m) whatever n is."""
     matched = M1.partner
-    free_cap = int(cfg.k * cfg.b)
+    free_cap = cfg.free_cap
     e2 = [e for e in edges if (e[0] in matched) != (e[1] in matched)]
     caps = {v: (cfg.k if v in matched else free_cap) for e in e2 for v in e}
     m2 = bulk_maximal_b_matching(e2, caps)
-    nu = (1.0 - cfg.delta) * len(M1) + (cfg.delta / cfg.k) * m2.size
-    return nu, m2
+    return cfg.mix(len(M1), m2.size), m2
 
 
 def bipartite_two_pass(edges: Sequence[Edge], eps: float,

@@ -12,12 +12,14 @@ copies, ('w', i, j) and ('u', i, j) for the degree-<=1 pendant classes.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from .graph import DynamicGraph, Matching
 from .oracles import RankFunction, greedy_maximal_matching
@@ -379,18 +381,43 @@ def _materialized_h_gmm(h: ImplicitSupergraph, ranks: RankFunction):
     return matched, chosen
 
 
+@functools.lru_cache(maxsize=1)
+def _materialized_h(n: int, edges: FrozenSet[Tuple[int, int]], eps: float
+                    ) -> Tuple[Tuple[bytes, ...], Tuple[Tuple[int, int], ...],
+                               int]:
+    """The seed-independent part of GMM over a materialized H for the graph
+    on [0, n) with `edges`: H's edges in name order, each as the bytes its
+    rank hashes and as a pair of endpoint ids, with ("v", i) numbered i, and
+    the number of ids. The last graph is kept, so a run of seeds on one
+    graph builds H once."""
+    g = DynamicGraph(n)
+    for e in edges:
+        g.insert(*e)
+    _, h_edges = ImplicitSupergraph(AdjacencyOracle(g), eps**2 / 8.0
+                                    ).materialize()
+    ids = {("v", i): i for i in range(n)}
+    # materialize() names each edge canonically, as sort_key does
+    names = tuple(repr(e).encode() for e in h_edges)
+    ends = tuple((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
+                 for (a, b) in h_edges)
+    return names, ends, len(ids)
+
+
 def exact_pair_matched_count(g: DynamicGraph, m_star: Matching, eps: float,
                              seed: int) -> int:
     """Exact |{e in M*: both endpoints matched by GMM(H, ranks)}| via a
-    materialized H; the reference the sampling path is checked against."""
-    oracle = AdjacencyOracle(g)
-    h = ImplicitSupergraph(oracle, eps**2 / 8.0)
-    matched, _ = _materialized_h_gmm(h, RankFunction(seed))
-    count = 0
-    for (u, v) in m_star.edges():
-        if ("v", u) in matched and ("v", v) in matched:
-            count += 1
-    return count
+    materialized H; the reference the sampling path is checked against.
+    H is built once per graph and eps (`_materialized_h`); a seed only
+    re-ranks its edges. A stable sort of the name-ordered edges by rank
+    breaks ties by name, as `RankFunction.sort_key` orders them."""
+    names, ends, ids = _materialized_h(g.n, frozenset(g.edges()), eps)
+    ranks = RankFunction(seed).ranks_of(names)
+    matched = bytearray(ids)
+    for i in sorted(range(len(names)), key=ranks.__getitem__):
+        a, b = ends[i]
+        if not matched[a] and not matched[b]:
+            matched[a] = matched[b] = 1
+    return sum(1 for (u, v) in m_star.edges() if matched[u] and matched[v])
 
 
 def pair_matched_sample_count(n: int, eps: float,

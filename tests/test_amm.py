@@ -195,6 +195,39 @@ def test_maintainer_survives_matched_edge_deletions():
         assert len(mnt.matching()) >= (0.5 - 0.1) * mu
 
 
+def test_maintainer_work_counts_repair_reads():
+    """Each update is charged 1, the neighbours its repair reads and g.m if
+    it ends an epoch; deleting a matched edge reads neighbours."""
+    g = DynamicGraph(30)
+    mnt = AMMMaintainer(g, eps=0.9)
+    g.register(mnt)
+    reads = 0
+    neighbors = g.neighbors
+
+    def counted(v):
+        nonlocal reads
+        for w in neighbors(v):
+            reads += 1
+            yield w
+
+    g.neighbors = counted
+    rng = random.Random(4)
+    total = 0
+    for _ in range(600):
+        u, v = rng.randrange(30), rng.randrange(30)
+        if u == v:
+            continue
+        work, rebuilds, reads = mnt.work, mnt.rebuild_count, 0
+        if g.edge_exists(u, v):
+            g.delete(u, v)
+        else:
+            g.insert(u, v)
+        rebuilt = mnt.rebuild_count - rebuilds
+        assert mnt.work - work == 1 + reads + rebuilt * g.m
+        total += reads
+    assert total > 0
+
+
 def test_maintainer_small_size_branch():
     g = DynamicGraph(10)
     mnt = AMMMaintainer(g, eps=0.4)

@@ -1,7 +1,9 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynmatch.graph import DynamicGraph, Matching, UpdateEvent, validate
 from dynmatch import oracles
@@ -12,7 +14,7 @@ from dynmatch.estimator import (AlphaOutOfRange, ContractedMember,
 from dynmatch.harness import generate_workload
 from dynmatch.streaming import (B_GENERAL, Boundary, SecondPassConfig,
                                 disjoint_augmenting_paths, random_bipartition,
-                                second_pass_general)
+                                second_pass_bipartite, second_pass_general)
 
 
 def build(n, edges):
@@ -115,14 +117,14 @@ def test_bipartite_query_examples():
     b = spc.b
     g = build(8, [(i, i + 4) for i in range(4)])
     m1 = Matching([(i, i + 4) for i in range(4)])
-    nu, psi = bipartite_query(g, m1, spc)
+    nu, psi, _ = bipartite_query(g, m1, spc)
     assert psi == 0 and nu == pytest.approx((1 - 1 / b) * 4)
     path = build(4, [(0, 1), (1, 2), (2, 3)])
-    nu, _ = bipartite_query(path, Matching([(1, 2)]), spc)
+    nu, _, _ = bipartite_query(path, Matching([(1, 2)]), spc)
     assert nu == pytest.approx(1 + spc.delta)
     # non-2-colorable input degrades to the matching size
     tri = build(3, [(0, 1), (1, 2), (0, 2)])
-    nu, _ = bipartite_query(tri, Matching([(0, 1)]), spc)
+    nu, _, _ = bipartite_query(tri, Matching([(0, 1)]), spc)
     assert nu == 1.0
 
 
@@ -270,7 +272,7 @@ def test_bipartite_value_floored_at_m1():
     est = Estimator(8, cfg)
     for i in range(4):
         est.insert(i, i + 4)
-    mix, _ = bipartite_query(est.g, est.amm.matching(), cfg.spc)
+    mix, _, _ = bipartite_query(est.g, est.amm.matching(), cfg.spc)
     assert mix == pytest.approx((1 - 1 / cfg.spc.b) * 4)
     se = est.estimate()
     assert se.nu == 4.0 and se.components["bound"] == "m1"
@@ -287,3 +289,69 @@ def test_bipartite_value_serves_mix_above_m1():
     se = est.estimate()
     assert se.nu == pytest.approx(1 + cfg.spc.delta)
     assert se.components["bound"] == "mix"
+
+
+@pytest.mark.parametrize("workload", ["random-bipartite", "random-er"])
+def test_bipartite_check_serves_the_colour_first_value(workload):
+    """At every `q`, the O(1) check and the pass-first query serve exactly
+    the value and bound of colouring first: |M1| on a graph that is not
+    2-colourable, else the larger of the mix and |M1|."""
+    branches = Counter()
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 24), seed=st.integers(0, 10**6),
+           eps=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+           density=st.sampled_from([0.05, 0.2, 0.6]))
+    def check(n, seed, eps, density):
+        cfg = EstimatorConfig(mode="bipartite", eps=eps, seed=seed)
+        est = Estimator(n, cfg)
+        for ev in generate_workload(workload, n, seed, horizon=120,
+                                    density=density, query_every=3):
+            if ev.kind != "q":
+                est.apply(ev)
+                continue
+            m1 = est.amm.matching()
+            size = len(m1)
+            if oracles.bipartition(est.g) is None:
+                nu, bound = float(size), "m1"
+            else:
+                mix, _ = second_pass_bipartite(est.g.snapshot_edges(), m1,
+                                               cfg.spc)
+                nu = max(mix, float(size))
+                bound = "mix" if mix > size else "m1"
+            se = est.estimate()
+            assert se.nu == nu and se.components["bound"] == bound
+            branches["query" if "psi" in se.components else "check"] += 1
+
+    check()
+    assert branches["check"] > 0 and branches["query"] > 0
+
+
+def test_bipartite_colouring_runs_only_when_the_mix_would_serve(monkeypatch):
+    calls = []
+    bipartition = oracles.bipartition
+    monkeypatch.setattr(oracles, "bipartition",
+                        lambda g: calls.append(g) or bipartition(g))
+    cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=1)
+    spc = cfg.spc
+    # a perfect matching leaves no free vertex: the check serves |M1|
+    est = Estimator(8, cfg)
+    for i in range(4):
+        est.insert(i, i + 4)
+    work = est.query_work
+    se = est.estimate()
+    assert se.nu == 4.0 and "psi" not in se.components
+    assert est.query_work == work + 1 and not calls
+    # a triangle matched with an edge hanging off it, and free isolated
+    # vertices that defeat the check: no M2 copy, so the mix stays below
+    # |M1| and the odd cycle is never looked for
+    g = build(10, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    mix, psi, reads = bipartite_query(g, Matching([(0, 1), (2, 3)]), spc)
+    assert spc.mix(2, spc.free_cap * 6) > 2
+    assert mix == spc.mix(2, 0) and psi == 0 and reads == g.m and not calls
+    # the triangle with one free vertex: the mix would serve, the colouring
+    # runs once, finds the odd cycle and serves |M1|
+    tri = build(3, [(0, 1), (1, 2), (0, 2)])
+    assert bipartite_query(tri, Matching([(0, 1)]), spc) == (
+        1.0, 0.0, 2 * tri.m + tri.n)
+    assert len(calls) == 1

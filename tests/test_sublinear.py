@@ -262,6 +262,29 @@ def test_sampling_path_agrees_with_materialized_reference():
         assert kappa >= exact - eps**2 * n - 1e-9
 
 
+def test_exact_pair_count_matches_sort_key_gmm():
+    """The reference re-ranks one cached H per graph; it counts exactly what
+    GMM over H sorted by `sort_key` matches, graph after graph. Dense graphs
+    leave some base vertex unmatched, and which one depends on the ranks."""
+    rng = random.Random(12)
+    for trial in range(8):
+        n, eps = rng.randrange(2, 7), 0.9
+        g = DynamicGraph(n)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.8:
+                    g.insert(u, v)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for seed in range(2):
+            h = ImplicitSupergraph(AdjacencyOracle(g), eps**2 / 8.0)
+            matched, _ = _materialized_h_gmm(h, RankFunction(seed))
+            for (u, v) in pairs:
+                both = ("v", u) in matched and ("v", v) in matched
+                count = exact_pair_matched_count(g, Matching([(u, v)]), eps,
+                                                 seed)
+                assert count == int(both)
+
+
 def _reference_sort_key(seed, a, b):
     """The rank formula spelled out: repr-ordered name, PRF of its repr."""
     name = (a, b) if repr(a) <= repr(b) else (b, a)
