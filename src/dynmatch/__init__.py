@@ -7,17 +7,16 @@ matchings and two-pass augmentation counting over the live graph.
 
 from .graph import (BMatching, DynamicGraph, FractionalMatching, Matching,
                     UpdateEvent, norm_edge, read_stream, write_stream)
-from .estimator import (AlphaOutOfRange, Estimator, EstimatorConfig,
-                        SizeEstimate, bipartite_query, combine_amm_and_alpha,
-                        general_query)
+from .estimator import (Estimator, EstimatorConfig, SizeEstimate,
+                        bipartite_query, combine_amm_and_alpha, general_query)
 from .streaming import bipartite_two_pass, general_two_pass
 
 __all__ = [
     "BMatching", "DynamicGraph", "FractionalMatching", "Matching",
     "UpdateEvent", "norm_edge", "read_stream", "write_stream",
-    "AlphaOutOfRange", "Estimator", "EstimatorConfig",
-    "SizeEstimate", "bipartite_query", "combine_amm_and_alpha",
-    "general_query", "bipartite_two_pass", "general_two_pass",
+    "Estimator", "EstimatorConfig", "SizeEstimate", "bipartite_query",
+    "combine_amm_and_alpha", "general_query", "bipartite_two_pass",
+    "general_two_pass",
 ]
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ one greedy pass over the live edges in that order (`level_ordered_edges`),
 without running the pipeline: the greedy pass alone makes the matching
 maximal in the live graph, so it needs neither the extraction's max-weight
 step over high-degree vertices nor its witness. An eager repair rule keeps
-the live matching exactly maximal between the epoch rebuilds.
+the live matching exactly maximal between the periodic rebuilds.
 """
 
 from __future__ import annotations
@@ -333,37 +333,32 @@ class DynamicMaximalMatching:
 
 
 class AMMMaintainer(DynamicMaximalMatching):
-    """Epoch-based maintainer registered as a graph listener.
+    """Periodically rebuilt maintainer registered as a graph listener.
 
     Between rebuilds the inherited repair rule keeps the live matching `m`
-    maximal. Epoch length tracks eps*mu_hat/3 with mu_hat = 2|M| (a
-    <=3-approximation since the live matching is maximal); at the end of
-    every epoch `rebuild` recomputes the matching from the live graph and
-    swaps it in. The latest rebuild's report is kept for checkpoint audits:
-    `empty` on an edgeless graph, otherwise `branch="kernel"` and the
-    `kernel_edges` it read. `work` charges 1 per update, the neighbours its
-    repair reads, and g.m per rebuild.
+    maximal. A countdown, armed at construction and after every rebuild,
+    schedules the next rebuild eps*mu_hat/3 updates later, with
+    mu_hat = 2|M| (a <=3-approximation since the live matching is maximal);
+    `rebuild` recomputes the matching from the live graph and swaps it in.
+    The latest rebuild's report is kept for checkpoint audits: `empty` on an
+    edgeless graph, otherwise `branch="kernel"` and the `kernel_edges` it
+    read. `work` charges 1 per update, the neighbours its repair reads, and
+    g.m per rebuild.
     """
 
     def __init__(self, g: DynamicGraph, eps: float):
         super().__init__(g)
         self.eps = eps
-        self.epoch_index = 0
-        self.updates_in_epoch = 0
         self.rebuild_count = 0
         self.last_rebuild_report: dict = {}
-        self._set_epoch_length()
-
-    # -- size estimate -----------------------------------------------------
+        self._arm()
 
     def matching(self) -> Matching:
         return self.m
 
-    def mu_hat(self) -> int:
-        return max(1, 2 * len(self.m))
-
-    def _set_epoch_length(self) -> None:
-        self.epoch_length = max(1, int(self.eps * self.mu_hat() / 3))
+    def _arm(self) -> None:
+        """Updates until the next rebuild: eps*mu_hat/3, at least 1."""
+        self._countdown = max(1, int(self.eps * max(1, 2 * len(self.m)) / 3))
 
     # -- update path -------------------------------------------------------
 
@@ -371,10 +366,8 @@ class AMMMaintainer(DynamicMaximalMatching):
         self.work += 1
         # an explicit base call: cheaper than super() on every update
         DynamicMaximalMatching.on_update(self, g, ev)
-        self.updates_in_epoch += 1
-        if self.updates_in_epoch >= self.epoch_length:
-            self.epoch_index += 1
-            self.updates_in_epoch = 0
+        self._countdown -= 1
+        if self._countdown == 0:
             self.rebuild()
 
     def rebuild(self) -> None:
@@ -388,12 +381,11 @@ class AMMMaintainer(DynamicMaximalMatching):
         g = self.g
         self.rebuild_count += 1
         self.work += g.m
-        report: dict = {"epoch": self.epoch_index}
         if g.m == 0:
             self.m = Matching()
-            report["empty"] = True
+            self.last_rebuild_report = {"empty": True}
         else:
             self.m = first_pass_matching(level_ordered_edges(g, self.eps))
-            report.update(branch="kernel", kernel_edges=g.m)
-        self._set_epoch_length()
-        self.last_rebuild_report = report
+            self.last_rebuild_report = {"branch": "kernel",
+                                        "kernel_edges": g.m}
+        self._arm()

@@ -10,7 +10,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .estimator import AlphaOutOfRange, EstimatorConfig
+from .estimator import EstimatorConfig
 from .graph import GraphError, read_stream, write_stream
 from . import harness
 
@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--eps", type=float, required=True)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--reps", type=int, default=1)
-    run.add_argument("--alpha", type=float, default=2.0)
     run.add_argument("--n", type=int, required=True)
     run.add_argument("--oracle-every", type=int, default=0,
                      help="attach the exact maximum matching size to every "
@@ -79,7 +78,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = EstimatorConfig(mode=args.mode, eps=args.eps, seed=args.seed,
-                          reps=args.reps, alpha=args.alpha)
+                          reps=args.reps)
     events = read_stream(args.stream)
     result = harness.run_stream(events, args.n, cfg,
                                 oracle_every=args.oracle_every)
@@ -104,7 +103,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 # the package's input errors: bad parameters, streams, reports and files
 _INPUT_ERRORS = (harness.InvalidParams, harness.MalformedReport, GraphError,
-                 AlphaOutOfRange, ValueError, OSError)
+                 ValueError, OSError)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

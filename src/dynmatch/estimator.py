@@ -28,26 +28,29 @@ from .streaming import (B_GENERAL, Boundary, SecondPassConfig,
                         second_pass_general)
 
 
-class AlphaOutOfRange(Exception):
-    pass
-
-
-MIN_TRADEOFF_GAIN = 1e-4
+# Tradeoff mode improves an alpha-approximate matching provider. Its provider
+# is the built-in maximal matching, so alpha = 2. With c = 1/alpha - 1/2 the
+# paper's constants are b* = ceil(16 (1 + 2c) / (1 - 6c)) and
+# gain = 9 (1 - 6c)^2 / (2312 (1 + 2c)); at alpha = 2, c = 0.
+ALPHA = 2.0
+B_STAR = 16
+GAIN = 9 / 2312
+BETA = ALPHA - GAIN
 
 
 @dataclass
 class EstimatorConfig:
-    """Mode, precision and seeding, plus the mode's derived constants.
+    """Mode, precision, seeding and repetitions.
 
     `reps` is the number of bipartition draws averaged per general or
     tradeoff estimate. It changes no bipartite value: that value is
-    deterministic, and its `rep_values` is `[nu] * reps`."""
+    deterministic, and its `rep_values` is `[nu] * reps`. General mode
+    draws with b = `B_GENERAL`, tradeoff mode with b = `B_STAR`."""
 
     mode: str
     eps: float
     seed: int = 0
     reps: int = 1
-    alpha: float = 2.0
 
     def __post_init__(self):
         if self.mode not in ("bipartite", "general", "tradeoff"):
@@ -57,18 +60,6 @@ class EstimatorConfig:
         if self.reps < 1:
             raise ValueError("repetition count must be >= 1")
         self.spc = SecondPassConfig.bipartite(self.eps)
-        self.b_general = B_GENERAL
-        if self.mode == "tradeoff":
-            if not (1.5 < self.alpha <= 2.0):
-                raise AlphaOutOfRange(f"alpha={self.alpha} outside (1.5, 2]")
-            c = 1.0 / self.alpha - 0.5
-            self.c = c
-            self.b_star = math.ceil(16.0 * (1 + 2 * c) / (1 - 6 * c))
-            self.gain = 9.0 * (1 - 6 * c) ** 2 / (2312.0 * (1 + 2 * c))
-            if self.gain < MIN_TRADEOFF_GAIN:
-                raise AlphaOutOfRange(
-                    f"alpha={self.alpha} leaves no usable gain")
-            self.beta = self.alpha - self.gain
 
 
 @dataclass
@@ -144,8 +135,9 @@ class ContractionFamily:
     smallest scales materialize. Registered as a graph listener; each update
     routes to every member."""
 
-    def __init__(self, n: int, eps: float, seed: int,
-                 reps_per_scale: int = 3):
+    REPS_PER_SCALE = 3
+
+    def __init__(self, n: int, eps: float, seed: int):
         self.n = n
         self.eps = eps
         self.eps_b = eps / 16.0
@@ -163,7 +155,7 @@ class ContractionFamily:
             buckets = min(n, math.ceil(k / self.eps_b))
             if buckets >= n:
                 continue
-            for r in range(reps_per_scale):
+            for r in range(self.REPS_PER_SCALE):
                 self.members.append(ContractedMember(
                     k, buckets, seed * 7919 + k * 131 + r))
 
@@ -188,7 +180,7 @@ def bipartite_query(g: DynamicGraph, m1: Matching, spc: SecondPassConfig
     mix above |M1| is worth certifying, so only then does the query 2-colour
     the graph; if it is not 2-colourable the query returns (|M1|, 0), still
     a valid lower bound. Costs O(m), plus O(n + m) when it colours."""
-    nu, m2 = second_pass_bipartite(g.snapshot_edges(), m1, spc)
+    nu, m2 = second_pass_bipartite(g.edges(), m1, spc)
     if nu <= len(m1):
         return nu, float(m2.size), g.m
     reads = 2 * g.m + g.n
@@ -203,10 +195,10 @@ def general_query(g: DynamicGraph, m1: Matching, b: int,
     the number of M1 edges whose endpoints both got matched in the second
     pass (a subset of M1, so kappa <= |M1|). Deterministically <= mu(g): at
     least kappa/b of those edges carry vertex-disjoint 3-augmenting paths
-    (`streaming.disjoint_augmenting_paths`). One edge snapshot and boundary
-    serve every seed: O(m + (|M1| + |B|) log |M1|) once, then
-    O(|B| + |M1| + coin words) per seed."""
-    boundary = Boundary(g.snapshot_edges(), m1)
+    (`streaming.disjoint_augmenting_paths`). One boundary, built in one read
+    of the live edges, serves every seed: O(m + (|M1| + |B|) log |M1|) once,
+    then O(|B| + |M1| + coin words) per seed."""
+    boundary = Boundary(g.edges(), m1)
     out = []
     for seed in seeds:
         _, m1_hat = second_pass_general(
@@ -264,12 +256,13 @@ def _mix(seed: int, rep: int, stamp: int) -> int:
 
 class Estimator:
     """Dynamic size estimator: owns the graph, the matching maintainer, and
-    (in tradeoff mode) the 2-approximation source.
+    (in tradeoff mode) the alpha-approximate provider, a second maximal
+    matching (alpha = 2), whose bound the combination improves to `BETA`.
 
     estimate() is read-only, available after every update, and queries the
     live graph at most once, with the maintained matching as M1 (combined
-    with the 2-approximation in tradeoff mode). In bipartite mode it serves
-    max((1-delta)|M1| + (delta/k)|M2|, |M1|): both terms are at most mu
+    with the provider's matching in tradeoff mode). In bipartite mode it
+    serves max((1-delta)|M1| + (delta/k)|M2|, |M1|): both terms are at most mu
     because M1 is a live matching, and the max is at least the paper's
     value, so its approximation bound stands. `components["bound"]` names
     the term that served ("mix" or "m1"). Before any query, an exact O(1)
@@ -284,7 +277,7 @@ class Estimator:
         self.query_work = 0
         self.alpha_source: Optional[DynamicMaximalMatching] = None
         if cfg.mode == "tradeoff":
-            # stub provider: a maximal matching is a 2-approximation
+            # the provider: a maximal matching is a 2-approximation
             self.alpha_source = DynamicMaximalMatching(self.g)
             self.g.register(self.alpha_source)
 
@@ -298,9 +291,12 @@ class Estimator:
         self.g.apply(ev)
 
     def total_work(self) -> int:
-        """Aggregate touch count: maintainer and query work — the per-update
-        cost measure of the scaling report."""
-        return self.amm.work + self.query_work
+        """Aggregate touch count: maintainer, provider and query work — the
+        per-update cost measure of the scaling report."""
+        work = self.amm.work + self.query_work
+        if self.alpha_source is not None:
+            work += self.alpha_source.work
+        return work
 
     # -- queries -----------------------------------------------------------
 
@@ -329,7 +325,7 @@ class Estimator:
                     nu, comp["bound"] = mix, "mix"
             # each draw is deterministic; repetitions agree, median = value
             return nu, [nu] * cfg.reps, comp
-        b = cfg.b_general if cfg.mode == "general" else cfg.b_star
+        b = B_GENERAL if cfg.mode == "general" else B_STAR
         # charged as one pass over the edges and the matched ids per
         # repetition, not all of [n]; the shared boundary is not discounted
         self.query_work += (g.m + len(m1)) * cfg.reps

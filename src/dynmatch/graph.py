@@ -139,27 +139,26 @@ class DynamicGraph:
         for listener in self._listeners:
             listener.on_update(self, ev)
 
-    def snapshot_edges(self) -> List[Edge]:
-        return list(self._edges)
-
 
 class Matching:
-    """A vertex-disjoint edge set with a symmetric partner map."""
+    """A vertex-disjoint edge set, stored as its symmetric partner map. An
+    edge's two entries are added and removed together, so the map's order
+    is the edges' insertion order."""
 
     def __init__(self, edges: Iterable[Edge] = ()):
         self.partner: Dict[int, int] = {}
-        self._edges: Dict[Edge, None] = {}
         for (u, v) in edges:
             self.add(u, v)
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return len(self.partner) >> 1
 
     def __contains__(self, e: Edge) -> bool:
-        return norm_edge(*e) in self._edges
+        u, v = e
+        return self.partner.get(u) == v
 
     def edges(self) -> List[Edge]:
-        return list(self._edges)
+        return [(u, v) for u, v in self.partner.items() if u < v]
 
     def is_matched(self, v: int) -> bool:
         return v in self.partner
@@ -169,16 +168,12 @@ class Matching:
             raise SelfLoop(f"self-loop at {u}")
         if u in self.partner or v in self.partner:
             raise GraphError(f"endpoint of ({u},{v}) already matched")
-        e = norm_edge(u, v)
-        self._edges[e] = None
         self.partner[u] = v
         self.partner[v] = u
 
     def remove(self, u: int, v: int) -> None:
-        e = norm_edge(u, v)
-        if e not in self._edges:
-            raise GraphError(f"edge {e} not in matching")
-        del self._edges[e]
+        if self.partner.get(u) != v:
+            raise GraphError(f"edge {norm_edge(u, v)} not in matching")
         del self.partner[u]
         del self.partner[v]
 

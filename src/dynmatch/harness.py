@@ -18,7 +18,7 @@ from typing import Deque, Dict, List, Optional, Sequence
 
 from .graph import DynamicGraph, Edge, UpdateEvent, norm_edge
 from . import oracles
-from .estimator import Estimator, EstimatorConfig
+from .estimator import ALPHA, B_STAR, BETA, Estimator, EstimatorConfig
 
 REPORT_VERSION = 1
 
@@ -288,9 +288,7 @@ def run_stream(events: Sequence[UpdateEvent], n: int, cfg: EstimatorConfig,
         "deviations": DEVIATIONS,
     }
     if cfg.mode == "tradeoff":
-        meta["alpha"] = cfg.alpha
-        meta["b_star"] = cfg.b_star
-        meta["beta"] = cfg.beta
+        meta.update(alpha=ALPHA, b_star=B_STAR, beta=BETA)
     result = RunResult(meta=meta)
     for ev in events:
         if ev.kind != "q":

@@ -83,12 +83,6 @@ def bulk_maximal_b_matching(edges: Sequence[Edge], caps: Dict[int, int]) -> BMat
     return bm
 
 
-def _vertex_range(edges: Sequence[Edge], n: Optional[int]) -> int:
-    if n is not None:
-        return n
-    return 1 + max((max(e) for e in edges), default=-1)
-
-
 def _check_bipartite(edges: Sequence[Edge], n: int) -> None:
     g = DynamicGraph(n)
     for (u, v) in edges:
@@ -98,7 +92,7 @@ def _check_bipartite(edges: Sequence[Edge], n: int) -> None:
         raise NonBipartiteInput("stream contains an odd cycle")
 
 
-def second_pass_bipartite(edges: Sequence[Edge], M1: Matching,
+def second_pass_bipartite(edges: Iterable[Edge], M1: Matching,
                           cfg: SecondPassConfig) -> Tuple[float, BMatching]:
     """Maximal b-matching on edges between V(M1) and free vertices, plus the
     combined estimate (1-delta)|M1| + (delta/k)|M2|. Capacities exist only
@@ -111,8 +105,7 @@ def second_pass_bipartite(edges: Sequence[Edge], M1: Matching,
     return cfg.mix(len(M1), m2.size), m2
 
 
-def bipartite_two_pass(edges: Sequence[Edge], eps: float,
-                       n: Optional[int] = None
+def bipartite_two_pass(edges: Sequence[Edge], eps: float, n: int
                        ) -> Tuple[float, Matching, BMatching]:
     """Two-pass size estimate for bipartite inputs.
 
@@ -122,7 +115,6 @@ def bipartite_two_pass(edges: Sequence[Edge], eps: float,
     M1 union M2, of value nu.
     """
     edges = list(edges)
-    n = _vertex_range(edges, n)
     _check_bipartite(edges, n)
     cfg = SecondPassConfig.bipartite(eps)
     m1 = first_pass_matching(edges)
@@ -194,7 +186,6 @@ class Boundary:
 
     def __init__(self, edges: Iterable[Edge], M1: Matching):
         partner = self.partner = M1.partner
-        self.m1_edges = M1.edges()
         matched = sorted(partner)
         self.edges: List[Tuple[Edge, int, int]] = []
         self.words = 0
@@ -221,8 +212,10 @@ def second_pass_general(boundary: Boundary, part: Bipartition,
     matched = boundary.partner
     caps = {v: (1 if v in matched else b) for e in e2 for v in e}
     m2 = bulk_maximal_b_matching(e2, caps)
-    m1_hat = [e for e in boundary.m1_edges
-              if m2.load.get(e[0], 0) >= 1 and m2.load.get(e[1], 0) >= 1]
+    load = m2.load
+    # M1's edges in order, read from its partner map (see `Matching`)
+    m1_hat = [(u, v) for u, v in matched.items()
+              if u < v and load.get(u, 0) >= 1 and load.get(v, 0) >= 1]
     return m2, m1_hat
 
 
@@ -274,9 +267,8 @@ class GeneralTwoPassResult:
     part: Bipartition
 
 
-def general_two_pass(edges: Sequence[Edge], b: int = B_GENERAL,
-                     seed: int = 0, n: Optional[int] = None
-                     ) -> GeneralTwoPassResult:
+def general_two_pass(edges: Sequence[Edge], n: int, b: int = B_GENERAL,
+                     seed: int = 0) -> GeneralTwoPassResult:
     """Two-pass matching computation for general graphs.
 
     Returns mu(G[M1 union M2]), exact on the sparse union subgraph, together
@@ -287,7 +279,6 @@ def general_two_pass(edges: Sequence[Edge], b: int = B_GENERAL,
     over the bipartition seed the value is >= (1/2 + 1/144) * mu(G) at b = 9.
     """
     edges = list(edges)
-    n = _vertex_range(edges, n)
     m1 = first_pass_matching(edges)
     part = random_bipartition(m1, n, seed)
     m2, m1_hat = second_pass_general(Boundary(edges, m1), part, b)

@@ -501,12 +501,12 @@ def test_criterion_12_pair_matched_window():
     verdict(12, good >= 0.95 * 200, f"{good}/200 inside the window")
 
 
-# -- criterion 13: below-2 tradeoff with a stub provider --------------------
+# -- criterion 13: below-2 tradeoff with the maximal-matching provider -----
 
 
 def test_criterion_13_tradeoff_below_two():
     est = Estimator(300, EstimatorConfig(mode="tradeoff", eps=0.05,
-                                         alpha=2.0, seed=13, reps=5))
+                                         seed=13, reps=5))
     events = generate_workload("planted-matching", 300, seed=13)
     ratios = []
     t = 0

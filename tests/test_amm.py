@@ -12,6 +12,7 @@ from dynmatch.amm import (AMfM, AMMMaintainer, DynamicMaximalMatching, Kernel,
                           level_ordered_edges, provider_degree_bound,
                           required_degree_bound, static_amm_from_kernel,
                           validate_amfm, validate_kernel)
+from dynmatch.harness import generate_workload
 from dynmatch.streaming import first_pass_matching
 
 
@@ -197,7 +198,7 @@ def test_maintainer_survives_matched_edge_deletions():
 
 def test_maintainer_work_counts_repair_reads():
     """Each update is charged 1, the neighbours its repair reads and g.m if
-    it ends an epoch; deleting a matched edge reads neighbours."""
+    it triggers a rebuild; deleting a matched edge reads neighbours."""
     g = DynamicGraph(30)
     mnt = AMMMaintainer(g, eps=0.9)
     g.register(mnt)
@@ -239,9 +240,31 @@ def test_maintainer_small_size_branch():
     assert mnt.last_rebuild_report.get("empty")
     g.insert(4, 5)
     # a one-edge matching is below 1/eps, and still rebuilt in level order
-    assert mnt.last_rebuild_report == {"epoch": 5, "branch": "kernel",
-                                       "kernel_edges": 1}
+    assert mnt.rebuild_count == 5
+    assert mnt.last_rebuild_report == {"branch": "kernel", "kernel_edges": 1}
     assert mnt.matching().edges() == [(4, 5)]
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.9])
+def test_rebuild_countdown(eps):
+    """The first rebuild comes at update 1; each later one comes
+    max(1, int(eps * max(1, 2|M|) / 3)) updates after the previous one,
+    with |M| read right after that rebuild."""
+    g = DynamicGraph(60)
+    mnt = AMMMaintainer(g, eps=eps)
+    g.register(mnt)
+    events = [ev for ev in generate_workload("random-er", 60, 3, horizon=3000,
+                                             density=0.2) if ev.kind != "q"]
+    due, gaps = 1, set()
+    for t, ev in enumerate(events, 1):
+        rebuilds = mnt.rebuild_count
+        g.apply(ev)
+        assert mnt.rebuild_count - rebuilds == (t == due), t
+        if t == due:
+            gap = max(1, int(eps * max(1, 2 * len(mnt.matching())) / 3))
+            due += gap
+            gaps.add(gap)
+    assert len(gaps) > 3
 
 
 def live_and_maximal(g, m):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynmatch.graph import DynamicGraph, Matching, UpdateEvent, validate
-from dynmatch import oracles
-from dynmatch.estimator import (AlphaOutOfRange, ContractedMember,
-                                ContractionFamily, Estimator, EstimatorConfig,
-                                SizeEstimate, _mix, bipartite_query,
-                                combine_amm_and_alpha, general_query)
+from dynmatch import estimator, oracles
+from dynmatch.estimator import (ContractedMember, ContractionFamily, Estimator,
+                                EstimatorConfig, SizeEstimate, _mix,
+                                bipartite_query, combine_amm_and_alpha,
+                                general_query)
 from dynmatch.harness import generate_workload
 from dynmatch.streaming import (B_GENERAL, Boundary, SecondPassConfig,
                                 disjoint_augmenting_paths, random_bipartition,
@@ -27,16 +27,12 @@ def build(n, edges):
 def test_config_derived_constants():
     cfg = EstimatorConfig(mode="bipartite", eps=0.2)
     assert cfg.spc.b == pytest.approx(1 + math.sqrt(2))
-    cfg = EstimatorConfig(mode="general", eps=0.2)
-    assert cfg.b_general == 9
-    t = EstimatorConfig(mode="tradeoff", eps=0.05, alpha=2.0)
-    assert t.b_star == 16
-    assert t.gain == pytest.approx(9 / 2312)
-    t = EstimatorConfig(mode="tradeoff", eps=0.05, alpha=1.8)
-    assert t.b_star == 27
-    for bad in (1.4, 2.1, 1.501):
-        with pytest.raises(AlphaOutOfRange):
-            EstimatorConfig(mode="tradeoff", eps=0.05, alpha=bad)
+    assert B_GENERAL == 9
+    # tradeoff mode runs at its provider's alpha = 2, where c = 0
+    assert estimator.ALPHA == 2.0
+    assert estimator.B_STAR == 16
+    assert estimator.GAIN == 9 / 2312
+    assert estimator.BETA == 2 - 9 / 2312
     with pytest.raises(ValueError):
         EstimatorConfig(mode="nope", eps=0.1)
     for bad in (-0.1, 0.0, 1.0, 1.5, float("nan")):
@@ -177,7 +173,7 @@ def test_general_value_certified_at_served_sizes(n, horizon):
         m1 = est.amm.matching()
         part = random_bipartition(m1, n, _mix(1, 0, est.g.ops))
         m2, m1_hat = second_pass_general(
-            Boundary(est.g.snapshot_edges(), m1), part, B_GENERAL)
+            Boundary(list(est.g.edges()), m1), part, B_GENERAL)
         assert len(m1_hat) == se.components["kappa"]
         paths = disjoint_augmenting_paths(m1_hat, m2)
         hosts = {(min(u, v), max(u, v)) for (_, u, v, _) in paths}
@@ -262,6 +258,26 @@ def test_estimator_reports_are_deterministic():
     assert run() == run()
 
 
+@pytest.mark.parametrize("mode", ["tradeoff", "general"])
+def test_total_work_counts_every_maintained_matching(mode):
+    """total_work() is the maintainer's, the provider's (tradeoff mode only)
+    and the queries' work, after every update and estimate of a churn run."""
+    est = Estimator(60, EstimatorConfig(mode=mode, eps=0.2, seed=1, reps=3))
+    for ev in generate_workload("random-er", 60, 800, horizon=2000,
+                                density=0.15, query_every=50):
+        if ev.kind == "q":
+            est.estimate()
+        else:
+            est.apply(ev)
+        provider = est.alpha_source.work if mode == "tradeoff" else 0
+        assert est.total_work() == est.amm.work + provider + est.query_work
+    if mode == "tradeoff":
+        # the provider's deletion repairs read neighbours
+        assert est.alpha_source.work > 0
+    else:
+        assert est.alpha_source is None
+
+
 # -- |M1| floor of the bipartite value -------------------------------------
 
 
@@ -315,7 +331,7 @@ def test_bipartite_check_serves_the_colour_first_value(workload):
             if oracles.bipartition(est.g) is None:
                 nu, bound = float(size), "m1"
             else:
-                mix, _ = second_pass_bipartite(est.g.snapshot_edges(), m1,
+                mix, _ = second_pass_bipartite(list(est.g.edges()), m1,
                                                cfg.spc)
                 nu = max(mix, float(size))
                 bound = "mix" if mix > size else "m1"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,6 +92,40 @@ def test_matching_container():
     m.add(2, 3)
     m.remove(0, 1)
     assert not m.is_matched(0) and len(m) == 1
+
+
+def test_matching_follows_an_edge_list_model():
+    """Random add/remove sequences on few vertices, so that removed edges
+    come back: edges() keeps insertion order, and len, `in` and a rejected
+    add or remove agree with a plain list of edges."""
+    rng = random.Random(9)
+    readds = 0
+    for _ in range(200):
+        m, model, removed = Matching(), [], set()
+        for _ in range(60):
+            u, v = rng.sample(range(8), 2)
+            e = norm_edge(u, v)
+            if rng.random() < 0.6:
+                if any(w in f for f in model for w in e):
+                    with pytest.raises(GraphError):
+                        m.add(u, v)
+                else:
+                    m.add(u, v)
+                    model.append(e)
+                    readds += e in removed
+            elif e in model:
+                m.remove(u, v)
+                model.remove(e)
+                removed.add(e)
+            else:
+                with pytest.raises(GraphError):
+                    m.remove(u, v)
+            assert m.edges() == model
+            assert len(m.partner) == 2 * len(m) == 2 * len(model)
+            assert ((u, v) in m) == ((v, u) in m) == (e in model)
+            assert all(m.partner[a] == b and m.partner[b] == a
+                       for a, b in model)
+    assert readds > 0
 
 
 def test_bmatching_capacities():

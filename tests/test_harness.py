@@ -308,8 +308,6 @@ CRITERIA = {
     ["run", "--stream", "{d}/s.txt", "--eps", "2"] + RUN_ARGS,
     ["run", "--stream", "{d}/missing.txt", "--eps", "0.2"] + RUN_ARGS,
     ["run", "--stream", "{d}/far.txt", "--eps", "0.2"] + RUN_ARGS,
-    ["run", "--stream", "{d}/s.txt", "--eps", "0.2", "--n", "10", "--mode",
-     "tradeoff", "--alpha", "1.2", "--report", "{d}/r.json"],
     ["summarize", "--report", "{d}/no_t.json"],
     ["run", "--stream", "{d}/word.txt", "--eps", "0.2"] + RUN_ARGS,
     ["gen", "--workload", "adaptive-adversary", "--n", "10",
@@ -317,7 +315,7 @@ CRITERIA = {
 ] + [["summarize", "--report", "{d}/ok.json", "--criteria",
       "{d}/" + name] for name in CRITERIA],
     ids=["gen-density", "run-eps", "run-missing-stream",
-         "run-vertex-out-of-range", "run-alpha", "summarize-row-without-t",
+         "run-vertex-out-of-range", "summarize-row-without-t",
          "run-non-integer-vertex", "gen-adaptive-without-reads"]
     + ["criteria-" + name[:-5] for name in CRITERIA])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv):

@@ -213,7 +213,7 @@ def dense_second_pass_general(edges, m1, side, b, n):
 
 def dense_general_query(g, m1, b, seed):
     side = dense_sides(m1, g.n, seed)
-    _, m1_hat = dense_second_pass_general(g.snapshot_edges(), m1, side, b,
+    _, m1_hat = dense_second_pass_general(list(g.edges()), m1, side, b,
                                           g.n)
     kappa = min(len(m1_hat), len(m1))
     return len(m1) + kappa / b, kappa
@@ -340,7 +340,7 @@ def _estimate_matches_dense_reference(est):
     """Compare one estimate with the dense per-draw reference, on the same
     M1 and the same per-repetition seeds; return that M1's boundary."""
     cfg, g = est.cfg, est.g
-    b = cfg.b_general if cfg.mode == "general" else cfg.b_star
+    b = B_GENERAL if cfg.mode == "general" else estimator.B_STAR
     m1 = est._live_matching()
     se = est.estimate()
     ref = [dense_general_query(g, m1, b, estimator._mix(cfg.seed, r, g.ops))
@@ -348,7 +348,7 @@ def _estimate_matches_dense_reference(est):
     assert se.rep_values == [nu for nu, _ in ref]
     assert se.nu == statistics.fmean(nu for nu, _ in ref)
     assert se.components == {"m1": len(m1), "kappa": ref[-1][1]}
-    return Boundary(g.snapshot_edges(), m1)
+    return Boundary(list(g.edges()), m1)
 
 
 @pytest.mark.parametrize("mode", ["general", "tradeoff"])
@@ -362,10 +362,10 @@ def test_shared_query_estimate_matches_dense_reference(mode):
 
     # edgeless graph, empty M1: no coin word is read
     bd = _estimate_matches_dense_reference(fresh(7))
-    assert bd.words == 0 and bd.m1_edges == []
+    assert bd.words == 0 and bd.partner == {}
     # edges, but M1 is perfect, so the boundary is empty
     bd = _estimate_matches_dense_reference(fresh(4, [(0, 1), (2, 3), (1, 2)]))
-    assert bd.edges == [] and len(bd.m1_edges) == 2
+    assert bd.edges == [] and len(bd.partner) == 4
     # the only boundary edge reads the last coin word: free 9 has rank 7
     est = fresh(10, [(0, 1), (1, 9)])
     bd = _estimate_matches_dense_reference(est)
@@ -375,11 +375,11 @@ def test_shared_query_estimate_matches_dense_reference(mode):
     before = est.estimate().rep_values
     est.insert(0, 8)
     bd = _estimate_matches_dense_reference(est)
-    assert bd.m1_edges == [(0, 1)] and len(bd.edges) == 2
+    assert bd.partner == {0: 1, 1: 0} and len(bd.edges) == 2
     assert est.estimate().rep_values != before
     est.delete(1, 9)
     bd = _estimate_matches_dense_reference(est)
-    assert bd.m1_edges == [(0, 1)] and len(bd.edges) == 1
+    assert bd.partner == {0: 1, 1: 0} and len(bd.edges) == 1
     # random ER streams with churn
     rng = random.Random(24)
     for n in (12, 60, 300):
