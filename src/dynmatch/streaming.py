@@ -15,7 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .graph import BMatching, DynamicGraph, Edge, Matching, norm_edge
+from .graph import (BMatching, DynamicGraph, Edge, Matching, NotMaximal,
+                    norm_edge)
 from . import oracles
 
 B_BIPARTITE = 1.0 + math.sqrt(2.0)
@@ -72,14 +73,27 @@ def bulk_maximal_b_matching(edges: Sequence[Edge], caps: Dict[int, int]) -> BMat
 
     Each edge receives min(residual(u), residual(v)) copies at its turn;
     residuals never grow, so no earlier edge can become addable again.
-    Maximality over `edges` is checked before returning (raises NotMaximal).
+    Residuals live in one local dict; `load` is filled from them at the
+    end, and maximality over `edges` is checked on them before returning
+    (raises NotMaximal). A vertex without capacity raises KeyError.
     """
     bm = BMatching(caps)
+    res = dict(bm.caps)
+    mult = bm.mult
     for (u, v) in edges:
-        t = min(bm.residual(u), bm.residual(v))
+        ru, rv = res[u], res[v]
+        t = ru if ru < rv else rv
         if t > 0:
-            bm.add(u, v, t)
-    bm.check_maximal(edges)
+            res[u] = ru - t
+            res[v] = rv - t
+            e = (u, v) if u < v else (v, u)
+            mult[e] = mult.get(e, 0) + t
+    for (u, v) in edges:
+        if res[u] > 0 and res[v] > 0:
+            raise NotMaximal(f"b-matching not maximal at ({u},{v})")
+    load = bm.load
+    for v, cap in bm.caps.items():
+        load[v] = cap - res[v]
     return bm
 
 
@@ -180,42 +194,81 @@ def random_bipartition(M1: Matching, n: int, seed: int) -> Bipartition:
 class Boundary:
     """The seed-independent part of the general second pass, shared by all
     bipartition draws: the edges with exactly one M1-matched endpoint, in
-    edge order, each as (edge, coin byte of its free endpoint, 1 iff its
-    matched endpoint is "r"), and the number of coin `words` they read.
-    Costs O(m + (|M1| + |B|) log |M1|) for B the boundary."""
+    edge order, each as (matched endpoint, free endpoint, coin byte of the
+    free endpoint, 1 iff the matched endpoint is "r"), and the number of
+    coin `words` they read. Built once in O(m + (|M1| + |B|) log |M1|) for
+    B the boundary; each draw over it then costs O(|B| + coin words)."""
 
     def __init__(self, edges: Iterable[Edge], M1: Matching):
         partner = self.partner = M1.partner
         matched = sorted(partner)
-        self.edges: List[Tuple[Edge, int, int]] = []
+        self.edges: List[Tuple[int, int, int, int]] = []
         self.words = 0
-        for e in edges:
-            u, v = e
+        for (u, v) in edges:
             if (u in partner) == (v in partner):
                 continue
             m, free = (u, v) if u in partner else (v, u)
             rank = free - bisect_left(matched, free)
             self.words = max(self.words, rank + 1)
-            self.edges.append((e, coin_byte(rank), int(m > partner[m])))
+            self.edges.append((m, free, coin_byte(rank),
+                               int(m > partner[m])))
+
+
+def draw_second_pass(boundary: Boundary, part: Bipartition, b: int
+                     ) -> Tuple[Dict[int, int], int]:
+    """One bipartition draw of the general second pass: the maximal
+    b-matching M2 (caps 1 matched / b free) on the boundary edges crossing
+    `part`, as (mate, kappa). `mate` maps each M2-matched M1 vertex to its
+    free M2 partner, in the order the copies were taken; with cap 1 on the
+    matched side, each M2 edge has one copy. kappa is |M1_hat|, the number
+    of M1 edges with both endpoints matched in M2, counted as each M1
+    edge's second endpoint is taken. One loop takes the copies and one
+    re-checks maximality (raises NotMaximal): O(|B| + coin words), with no
+    term in |M1| or n."""
+    entries = boundary.edges
+    if b < 1 and entries:
+        raise ValueError(f"free capacity b={b} must be positive")
+    coins = part.coins(boundary.words)
+    partner = boundary.partner
+    mate: Dict[int, int] = {}
+    load: Dict[int, int] = {}
+    kappa = 0
+    for m, free, byte, right in entries:
+        if coins[byte] >> 7 == right or m in mate:
+            continue
+        taken = load.get(free, 0)
+        if taken < b:
+            mate[m] = free
+            load[free] = taken + 1
+            if partner[m] in mate:
+                kappa += 1
+    for m, free, byte, right in entries:
+        if (coins[byte] >> 7 != right and m not in mate
+                and load.get(free, 0) < b):
+            raise NotMaximal(f"b-matching not maximal at ({m},{free})")
+    return mate, kappa
 
 
 def second_pass_general(boundary: Boundary, part: Bipartition,
                         b: int) -> Tuple[BMatching, List[Edge]]:
-    """Maximal b-matching M2 (caps 1 matched / b free) on the boundary edges
-    crossing `part`, a bipartition of the boundary's M1, plus M1_hat: the M1
-    edges with both endpoints matched in M2. The coins come in one draw and
-    capacities exist only for endpoints of the kept edges, so one pass costs
-    O(|B| + |M1| + coin words) whatever n is."""
+    """`draw_second_pass` as a `BMatching` M2, capacities on the endpoints
+    of the crossing edges, plus M1_hat: the M1 edges with both endpoints
+    matched in M2, in M1's partner-map order. The draw costs
+    O(|B| + coin words) whatever n is; listing M1_hat reads M1 once more,
+    O(|M1|)."""
+    mate, _ = draw_second_pass(boundary, part, b)
     coins = part.coins(boundary.words)
-    e2 = [e for (e, byte, right) in boundary.edges
-          if coins[byte] >> 7 != right]
-    matched = boundary.partner
-    caps = {v: (1 if v in matched else b) for e in e2 for v in e}
-    m2 = bulk_maximal_b_matching(e2, caps)
-    load = m2.load
+    caps: Dict[int, int] = {}
+    for m, free, byte, right in boundary.edges:
+        if coins[byte] >> 7 != right:
+            caps[m] = 1
+            caps[free] = b
+    m2 = BMatching(caps)
+    for m, free in mate.items():
+        m2.add(m, free)
     # M1's edges in order, read from its partner map (see `Matching`)
-    m1_hat = [(u, v) for u, v in matched.items()
-              if u < v and load.get(u, 0) >= 1 and load.get(v, 0) >= 1]
+    m1_hat = [(u, v) for u, v in boundary.partner.items()
+              if u < v and u in mate and v in mate]
     return m2, m1_hat
 
 

@@ -127,14 +127,16 @@ def test_bipartite_query_examples():
 def test_general_query_examples():
     g = build(8, [(i, i + 4) for i in range(4)])
     m1 = Matching([(i, i + 4) for i in range(4)])
-    for nu, kappa in general_query(g, m1, 9, range(5)):
+    for nu, kappa in general_query(g, m1, 9, range(5))[0]:
         assert kappa == 0 and nu == 4.0
     tri = build(3, [(0, 1), (1, 2), (0, 2)])
-    for nu, _ in general_query(tri, Matching([(0, 1)]), 9, range(8)):
-        assert nu == 1.0
+    draws, reads = general_query(tri, Matching([(0, 1)]), 9, range(8))
+    assert all(nu == 1.0 for nu, _ in draws)
+    # the 3 edges once, then the 2 boundary edges (0, 2) and (1, 2) per draw
+    assert reads == 3 + 8 * 2
     c6 = build(6, [(i, (i + 1) % 6) for i in range(6)])
     m1 = Matching([(0, 1), (2, 3), (4, 5)])
-    [(nu, _)] = general_query(c6, m1, 9, [0])
+    [(nu, _)], _ = general_query(c6, m1, 9, [0])
     assert nu == 3.0
 
 
@@ -149,7 +151,7 @@ def test_general_query_lower_bound_certificate():
                     g.insert(u, v)
         m1 = oracles.greedy_maximal_matching(g, oracles.RankFunction(trial))
         mu = oracles.max_matching_size(g)
-        for nu, _ in general_query(g, m1, 9, range(4)):
+        for nu, _ in general_query(g, m1, 9, range(4))[0]:
             assert len(m1) <= nu <= mu + 1e-9
 
 

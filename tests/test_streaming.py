@@ -3,6 +3,7 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynmatch.graph import BMatching, DynamicGraph, Matching
 from dynmatch import estimator, oracles
@@ -43,6 +44,57 @@ def test_bulk_b_matching_saturates_and_is_maximal():
     caps = {0: 3, 1: 2, 2: 2}
     bm = bulk_maximal_b_matching([(0, 1), (0, 2)], caps)
     assert bm.mult[(0, 1)] == 2 and bm.mult[(0, 2)] == 1
+
+
+def method_bulk_maximal_b_matching(edges, caps):
+    """Reference: the saturating pass through `BMatching`'s own residual,
+    add and maximality methods."""
+    bm = BMatching(caps)
+    for (u, v) in edges:
+        t = min(bm.residual(u), bm.residual(v))
+        if t > 0:
+            bm.add(u, v, t)
+    bm.check_maximal(edges)
+    return bm
+
+
+def _b_matching_outcome(fn, edges, caps):
+    try:
+        bm = fn(edges, caps)
+    except Exception as exc:  # the reference's exception type is the spec
+        return type(exc)
+    return (list(bm.mult.items()), list(bm.load.items()),
+            list(bm.caps.items()), bm.size)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_bulk_b_matching_equals_method_reference(data):
+    n = data.draw(st.integers(2, 8))
+    caps = {v: data.draw(st.integers(1, 4)) for v in range(n)}
+    # at most one vertex without capacity: the pass must fail as the
+    # reference does when an edge reaches it
+    for v in data.draw(st.sets(st.integers(0, n - 1), max_size=1)):
+        del caps[v]
+    pair = st.tuples(st.integers(0, n - 1),
+                     st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.lists(pair, max_size=24))
+    if edges:
+        edges += data.draw(st.lists(st.sampled_from(edges), max_size=8))
+        edges = data.draw(st.permutations(edges))
+    got = _b_matching_outcome(bulk_maximal_b_matching, edges, caps)
+    assert got == _b_matching_outcome(method_bulk_maximal_b_matching,
+                                      edges, caps)
+    if any(u not in caps or v not in caps for (u, v) in edges):
+        assert got is KeyError
+    else:
+        assert isinstance(got, tuple)
+
+
+def test_bulk_b_matching_rejects_nonpositive_caps():
+    for fn in (bulk_maximal_b_matching, method_bulk_maximal_b_matching):
+        with pytest.raises(ValueError):
+            fn([(0, 1)], {0: 1, 1: 0})
 
 
 def test_bipartite_two_pass_empty_and_disjoint():
@@ -269,21 +321,42 @@ def test_sparse_passes_bit_identical_to_dense_reference():
     rng = random.Random(21)
     cases = 0
     for n, edges, m1 in _identity_cases():
-        seed = rng.randrange(2**63)
-        side = dense_sides(m1, n, seed)
-        part = random_bipartition(m1, n, seed)
-        assert {v: part.side_of(v) for v in range(n)} == side
-        for b in (1, B_GENERAL):
-            part = random_bipartition(m1, n, seed)
-            m2, m1_hat = second_pass_general(Boundary(edges, m1), part, b)
-            ref_m2, ref_hat = dense_second_pass_general(edges, m1, side, b, n)
-            assert list(m2.mult.items()) == list(ref_m2.mult.items())
-            assert m1_hat == ref_hat
+        first = rng.randrange(2**63)
+        more = random.Random(first)
         g = build(n, [(min(e), max(e)) for e in edges])
-        assert (estimator.general_query(g, m1, B_GENERAL, [seed])
-                == [dense_general_query(g, m1, B_GENERAL, seed)])
+        boundary = Boundary(edges, m1)
+        for seed in (first, more.randrange(2**63), more.randrange(2**63)):
+            side = dense_sides(m1, n, seed)
+            part = random_bipartition(m1, n, seed)
+            assert {v: part.side_of(v) for v in range(n)} == side
+            for b in (1, B_GENERAL):
+                part = random_bipartition(m1, n, seed)
+                m2, m1_hat = second_pass_general(boundary, part, b)
+                ref_m2, ref_hat = dense_second_pass_general(edges, m1, side,
+                                                            b, n)
+                assert list(m2.mult.items()) == list(ref_m2.mult.items())
+                assert m1_hat == ref_hat
+                # the served draw counts kappa without listing M1_hat
+                [(_, kappa)], _ = estimator.general_query(g, m1, b, [seed])
+                assert kappa == len(m1_hat) == len(ref_hat)
+            assert (estimator.general_query(g, m1, B_GENERAL, [seed])[0]
+                    == [dense_general_query(g, m1, B_GENERAL, seed)])
         cases += 1
     assert cases >= 200
+
+
+@pytest.mark.parametrize("b", [0, -1])
+def test_general_pass_rejects_nonpositive_b_on_a_boundary(b):
+    g = build(4, [(0, 1), (1, 2), (2, 3)])
+    m1 = Matching([(1, 2)])
+    boundary = Boundary(list(g.edges()), m1)
+    assert [(m, free) for (m, free, _, _) in boundary.edges] == [(1, 0),
+                                                                (2, 3)]
+    for seed in range(4):
+        with pytest.raises(ValueError):
+            estimator.general_query(g, m1, b, [seed])
+        with pytest.raises(ValueError):
+            second_pass_general(boundary, random_bipartition(m1, 4, seed), b)
 
 
 def test_lazy_coins_match_dense_reference_in_any_access_order():
@@ -369,7 +442,7 @@ def test_shared_query_estimate_matches_dense_reference(mode):
     # the only boundary edge reads the last coin word: free 9 has rank 7
     est = fresh(10, [(0, 1), (1, 9)])
     bd = _estimate_matches_dense_reference(est)
-    assert bd.edges == [((1, 9), coin_byte(7), 1)] and bd.words == 8
+    assert bd.edges == [(1, 9, coin_byte(7), 1)] and bd.words == 8
     # an update that changes only the boundary: M1 stays, the served
     # values follow the new boundary
     before = est.estimate().rep_values
