@@ -200,8 +200,9 @@ def general_query(g: DynamicGraph, m1: Matching, b: int,
     read once plus the boundary entries each draw scans. Deterministically
     <= mu(g): at least kappa/b of those edges carry vertex-disjoint
     3-augmenting paths (`streaming.disjoint_augmenting_paths`). One
-    boundary, built in one read of the live edges, serves every seed:
-    O(m + (|M1| + |B|) log |M1|) once, then O(|B| + coin words) per seed."""
+    boundary, built in one O(m) read of the live edges, serves every seed;
+    each seed then costs O(|B| + coin words), its coins indexed by vertex
+    id (`streaming.Bipartition`)."""
     boundary = Boundary(g.edges(), m1)
     size = len(m1)
     out = []

@@ -151,9 +151,10 @@ class AdaptiveAdversary:
     """Update source whose future depends on the published estimates.
 
     Feedback channel: the single value passed to step(); every read is
-    logged. Strategy: grow a bipartite-ish graph; whenever the estimate is
-    high, tear out the edges most recently credited (newest inserts, which
-    the maintained structures lean on) and re-insert elsewhere.
+    logged. Strategy: grow a bipartite-ish graph; whenever the estimate
+    reaches `trigger`, a share of n // 2 (no estimate exceeds mu), tear out
+    the edges most recently credited (newest inserts, which the maintained
+    structures lean on) and re-insert elsewhere.
     """
 
     def __init__(self, n: int, seed: int, batch: int = 20,
@@ -163,6 +164,7 @@ class AdaptiveAdversary:
         self.batch = batch
         h = n // 2
         self.target = max(1, int(density * h * (n - h)))
+        self.trigger = 0.3 * h
         self.live: Dict[Edge, None] = {}
         # newest inserts, oldest dropped beyond 4 batches
         self.recent: Deque[Edge] = deque(maxlen=4 * batch)
@@ -172,7 +174,7 @@ class AdaptiveAdversary:
         """One batch of updates, shaped by the last published estimate."""
         self.estimate_log.append(last_estimate)
         events: List[UpdateEvent] = []
-        aggressive = last_estimate >= 0.3 * self.target
+        aggressive = last_estimate >= self.trigger
         if aggressive and self.live:
             # delete the most recently inserted surviving edges
             kill = [e for e in reversed(self.recent) if e in self.live]

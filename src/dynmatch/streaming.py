@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .graph import (BMatching, DynamicGraph, Edge, Matching, NotMaximal,
                     norm_edge)
@@ -143,24 +142,22 @@ class Bipartition:
     """Vertex side labels on [0, n): each M1 edge split deterministically
     (lower id left), free vertices by independent fair coins from the seed.
 
-    Coin contract: the free vertex of rank i (the i-th free id in increasing
-    order) is "r" iff the top bit of the seed generator's i-th 32-bit output
-    word is set, which is exactly what the i-th `getrandbits(1)` call on
-    `random.Random(seed)` returns. Words are drawn on demand, and draws in
-    pieces give the bytes of one `getrandbits(32 * k)` call, so labelling
-    never costs O(n). `side_of` ranks a free id by bisection into M1's
-    sorted matched ids, sorted on first use. M1 is read, not copied.
+    Coin contract: free vertex v is "r" iff the top bit of the seed
+    generator's v-th 32-bit output word is set, which is exactly what the
+    v-th `getrandbits(1)` call on `random.Random(seed)` returns; a matched
+    id's word is drawn and ignored. Words are drawn on demand, up to the
+    highest id asked, and draws in pieces give the bytes of one
+    `getrandbits(32 * k)` call. M1 is read, not copied.
     """
 
     def __init__(self, M1: Matching, n: int, seed: int):
         self.n = n
         self._partner = M1.partner
-        self._matched: Optional[List[int]] = None
         self._rng = random.Random(seed)
         self._words = bytearray()
 
     def coins(self, words: int) -> bytearray:
-        """The first `words` coin words; rank i's coin is in `coin_byte(i)`."""
+        """The first `words` coin words; v's coin is in `coin_byte(v)`."""
         drawn = len(self._words) >> 2
         if words > drawn:
             k = words - drawn
@@ -174,17 +171,14 @@ class Bipartition:
         partner = self._partner.get(v)
         if partner is not None:
             return "l" if v < partner else "r"
-        if self._matched is None:
-            self._matched = sorted(self._partner)
-        rank = v - bisect_left(self._matched, v)
-        return "r" if self.coins(rank + 1)[coin_byte(rank)] >> 7 else "l"
+        return "r" if self.coins(v + 1)[coin_byte(v)] >> 7 else "l"
 
     def crosses(self, u: int, v: int) -> bool:
         return self.side_of(u) != self.side_of(v)
 
 
-def coin_byte(rank: int) -> int:
-    return 4 * rank + 3  # the top byte of a little-endian word
+def coin_byte(v: int) -> int:
+    return 4 * v + 3  # the top byte of a little-endian word
 
 
 def random_bipartition(M1: Matching, n: int, seed: int) -> Bipartition:
@@ -196,21 +190,20 @@ class Boundary:
     bipartition draws: the edges with exactly one M1-matched endpoint, in
     edge order, each as (matched endpoint, free endpoint, coin byte of the
     free endpoint, 1 iff the matched endpoint is "r"), and the number of
-    coin `words` they read. Built once in O(m + (|M1| + |B|) log |M1|) for
-    B the boundary; each draw over it then costs O(|B| + coin words)."""
+    coin `words` they read, the highest free id + 1. Built in one O(m)
+    pass; each draw over it then costs O(|B| + coin words), for B the
+    boundary."""
 
     def __init__(self, edges: Iterable[Edge], M1: Matching):
         partner = self.partner = M1.partner
-        matched = sorted(partner)
         self.edges: List[Tuple[int, int, int, int]] = []
         self.words = 0
         for (u, v) in edges:
             if (u in partner) == (v in partner):
                 continue
             m, free = (u, v) if u in partner else (v, u)
-            rank = free - bisect_left(matched, free)
-            self.words = max(self.words, rank + 1)
-            self.edges.append((m, free, coin_byte(rank),
+            self.words = max(self.words, free + 1)
+            self.edges.append((m, free, coin_byte(free),
                                int(m > partner[m])))
 
 
@@ -224,10 +217,11 @@ def draw_second_pass(boundary: Boundary, part: Bipartition, b: int
     of M1 edges with both endpoints matched in M2, counted as each M1
     edge's second endpoint is taken. One loop takes the copies and one
     re-checks maximality (raises NotMaximal): O(|B| + coin words), with no
-    term in |M1| or n."""
-    entries = boundary.edges
-    if b < 1 and entries:
+    term in |M1|. A free capacity b < 1 raises ValueError, also on an
+    empty boundary."""
+    if b < 1:
         raise ValueError(f"free capacity b={b} must be positive")
+    entries = boundary.edges
     coins = part.coins(boundary.words)
     partner = boundary.partner
     mate: Dict[int, int] = {}

@@ -112,6 +112,28 @@ def test_adaptive_adversary_logs_reads_and_reacts():
     assert adv.estimate_log == [0.0, 1e9]
 
 
+def test_adaptive_adversary_turns_aggressive_at_criterion_9_parameters():
+    """An estimate is at most n // 2, so the trigger must be reachable: at
+    criterion 9's parameters some batch opens with the aggressive branch's
+    batch // 2 deletions of the newest edges. Outside that branch a batch
+    deletes only to hold the live edge count at the target, one deletion
+    between inserts."""
+    n, every = 300, 100
+    cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=1, reps=25)
+    ev = generate_workload("adaptive-adversary", n, seed=900, horizon=10**4,
+                           density=0.1, query_every=every, cfg=cfg)
+    batches, batch = [], []
+    for e in ev:
+        if e.kind == "q":
+            batches.append(batch)
+            batch = []
+        else:
+            batch.append(e)
+    assert len(batches) == 100
+    assert any(all(e.kind == "d" for e in b[:every // 2])
+               for b in batches[1:])
+
+
 def test_adaptive_workload_is_replayable():
     from dynmatch.graph import DynamicGraph
     ev = generate_workload("adaptive-adversary", 30, seed=2, horizon=150,
@@ -176,7 +198,7 @@ def test_adaptive_stream_marks_every_read():
         reads.append(est.estimate().nu)
     assert len(reads) == 6
     assert adv.estimate_log == [0.0] + reads[:-1]
-    assert max(adv.estimate_log) >= 0.3 * adv.target
+    assert max(adv.estimate_log) >= adv.trigger
     assert [e for e in ev if e.kind != "q"] == updates
     assert sum(e.kind == "q" for e in ev) == len(reads)
     res = run_stream(ev, n, cfg, oracle_every=1)

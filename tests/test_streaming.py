@@ -237,14 +237,16 @@ def test_disjoint_paths_size_and_disjointness():
 
 
 def dense_sides(m1, n, seed):
-    """Reference: one getrandbits(1) per free vertex, in id order."""
+    """Reference: one getrandbits(1) per vertex id, in id order; a matched
+    vertex ignores its bit and takes its side from its M1 edge."""
     rng = random.Random(seed)
     side = {}
     for v in range(n):
+        bit = rng.getrandbits(1)
         if m1.is_matched(v):
             side[v] = "l" if v < m1.partner[v] else "r"
         else:
-            side[v] = "l" if rng.getrandbits(1) == 0 else "r"
+            side[v] = "l" if bit == 0 else "r"
     return side
 
 
@@ -352,11 +354,17 @@ def test_general_pass_rejects_nonpositive_b_on_a_boundary(b):
     boundary = Boundary(list(g.edges()), m1)
     assert [(m, free) for (m, free, _, _) in boundary.edges] == [(1, 0),
                                                                 (2, 3)]
+    # an edgeless graph has an empty boundary, and b is still checked
+    empty = build(4, [])
     for seed in range(4):
         with pytest.raises(ValueError):
             estimator.general_query(g, m1, b, [seed])
         with pytest.raises(ValueError):
             second_pass_general(boundary, random_bipartition(m1, 4, seed), b)
+        with pytest.raises(ValueError):
+            estimator.general_query(empty, Matching(), b, [seed])
+        with pytest.raises(ValueError):
+            general_two_pass([], 4, b=b, seed=seed)
 
 
 def test_lazy_coins_match_dense_reference_in_any_access_order():
@@ -368,11 +376,11 @@ def test_lazy_coins_match_dense_reference_in_any_access_order():
         seed = rng.randrange(2**63)
         side = dense_sides(m1, n, seed)
         free = [v for v in range(n) if not m1.is_matched(v)]
-        # ascending free ids: every call needs exactly one fresh word
+        # ascending free ids: every call draws the words up to its id
         part = random_bipartition(m1, n, seed)
         for v in free[:50]:
             assert part.side_of(v) == side[v]
-        # a high rank first, then lower and higher ones
+        # a high id first, then lower and higher ones
         part = random_bipartition(m1, n, seed)
         assert part.side_of(free[len(free) // 2]) == side[free[len(free) // 2]]
         order = list(range(n))
@@ -381,16 +389,16 @@ def test_lazy_coins_match_dense_reference_in_any_access_order():
             assert part.side_of(v) == side[v]
 
 
-def test_coins_are_drawn_only_up_to_the_highest_rank_asked():
+def test_coins_are_drawn_only_up_to_the_highest_id_asked():
     m1 = Matching([(0, 5), (2, 9)])
     part = random_bipartition(m1, 10_000, seed=3)
     part.side_of(0)
     part.side_of(5)
     assert len(part._words) == 0
-    part.side_of(7)  # free ids 1, 3, 4, 6, 7: rank 4
-    assert len(part._words) == 4 * 5
+    part.side_of(7)  # words 0..7, the matched ids' words among them
+    assert len(part._words) == 4 * 8
     part.side_of(3)
-    assert len(part._words) == 4 * 5
+    assert len(part._words) == 4 * 8
 
 
 def test_ragged_coin_draws_equal_one_draw():
@@ -439,10 +447,10 @@ def test_shared_query_estimate_matches_dense_reference(mode):
     # edges, but M1 is perfect, so the boundary is empty
     bd = _estimate_matches_dense_reference(fresh(4, [(0, 1), (2, 3), (1, 2)]))
     assert bd.edges == [] and len(bd.partner) == 4
-    # the only boundary edge reads the last coin word: free 9 has rank 7
+    # the only boundary edge reads the last coin word, that of free id 9
     est = fresh(10, [(0, 1), (1, 9)])
     bd = _estimate_matches_dense_reference(est)
-    assert bd.edges == [(1, 9, coin_byte(7), 1)] and bd.words == 8
+    assert bd.edges == [(1, 9, coin_byte(9), 1)] and bd.words == 10
     # an update that changes only the boundary: M1 stays, the served
     # values follow the new boundary
     before = est.estimate().rep_values
