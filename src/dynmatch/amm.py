@@ -23,8 +23,7 @@ from typing import Dict, List, Optional, Set
 import networkx as nx
 
 from .graph import (DynamicGraph, Edge, FractionalMatching, Matching,
-                    UpdateEvent, norm_edge)
-from .streaming import first_pass_matching
+                    UpdateEvent, first_pass_matching, norm_edge)
 
 
 class ValidationFailed(Exception):

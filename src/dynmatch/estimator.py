@@ -60,6 +60,11 @@ class EstimatorConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.eps < 1.0:  # also rejects NaN
             raise ValueError(f"eps={self.eps} outside (0, 1)")
+        # a float seed or count would otherwise fail only in an estimate
+        for name in ("seed", "reps"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name}={value!r} is not an integer")
         if self.reps < 1:
             raise ValueError("repetition count must be >= 1")
         self.spc = SecondPassConfig.bipartite(self.eps)
@@ -216,39 +221,31 @@ def general_query(g: DynamicGraph, m1: Matching, b: int,
 def combine_amm_and_alpha(m_prime: Matching, m_second: Matching) -> Matching:
     """Per connected component of the union (alternating paths/cycles), keep
     the side with more edges in it, ties to m_prime. The output is a matching
-    with |out| >= |m_second| that covers every vertex of m_prime."""
-    parent: Dict[int, int] = {}
+    with |out| >= |m_second| that covers every vertex of m_prime.
 
-    def find(v: int) -> int:
-        root = v
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(v, v) != v:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(u: int, v: int) -> None:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    sides = (m_prime.edges(), m_second.edges())
-    for edges in sides:
-        for (u, v) in edges:
-            union(u, v)
-    count: Dict[int, List[int]] = {}
-    for idx, edges in enumerate(sides):
-        for (u, v) in edges:
-            c = count.setdefault(find(u), [0, 0])
-            c[idx] += 1
-    out = Matching()
-    for (u, v) in sides[0]:
-        c = count[find(u)]
-        if c[0] >= c[1]:
-            out.add(u, v)
-    for (u, v) in sides[1]:
-        c = count[find(u)]
-        if c[1] > c[0]:
+    A vertex has at most one partner in each matching, so each component is
+    walked through the two partner maps, and a side's matched vertices in it
+    are twice its edges there. The kept edges come in each input's order,
+    m_prime's first."""
+    pp, ps = m_prime.partner, m_second.partner
+    keep_prime: Dict[int, bool] = {}  # vertex -> its component keeps m_prime
+    for start in pp:
+        if start in keep_prime:
+            continue
+        comp = [start]
+        keep_prime[start] = True
+        for v in comp:  # grows as the walk reaches new vertices
+            for w in (pp.get(v), ps.get(v)):
+                if w is not None and w not in keep_prime:
+                    keep_prime[w] = True
+                    comp.append(w)
+        keep = sum(v in pp for v in comp) >= sum(v in ps for v in comp)
+        for v in comp:
+            keep_prime[v] = keep
+    # a component m_prime does not reach holds m_second's edges only
+    out = Matching(e for e in m_prime.edges() if keep_prime[e[0]])
+    for (u, v) in m_second.edges():
+        if not keep_prime.get(u, False):
             out.add(u, v)
     return out
 

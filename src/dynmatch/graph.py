@@ -97,8 +97,13 @@ class DynamicGraph:
         return norm_edge(u, v) in self._edges
 
     def _check_pair(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise OutOfRange(f"vertex pair ({u},{v}) out of [0,{self.n})")
+        # the ids are the ints in [0, n): a float such as 1.0 hashes like
+        # its int, so `apply` would write the edge index and then fail to
+        # index the adjacency
+        if not (type(u) is int and type(v) is int
+                and 0 <= u < self.n and 0 <= v < self.n):
+            raise OutOfRange(
+                f"vertex pair ({u!r},{v!r}) not two ints in [0,{self.n})")
         if u == v:
             raise SelfLoop(f"self-loop at {u}")
 
@@ -181,6 +186,20 @@ class Matching:
         return list(self.partner)
 
 
+def first_pass_matching(edges: Iterable[Edge]) -> Matching:
+    """Greedy maximal matching in the given order: an edge joins when both
+    endpoints are free. Every greedy matching the package builds from an
+    empty matching is this scan over some order (stream, rank or level
+    order)."""
+    m = Matching()
+    partner = m.partner
+    for (u, v) in edges:
+        if u != v and u not in partner and v not in partner:
+            partner[u] = v
+            partner[v] = u
+    return m
+
+
 class BMatching:
     """Multiset of edges with per-vertex capacities and load tracking."""
 
@@ -217,23 +236,19 @@ class BMatching:
 
 
 class FractionalMatching:
-    """Nonnegative edge values with per-vertex fractional degree <= 1."""
+    """Nonnegative edge values; `validate` checks fractional degree <= 1."""
 
     def __init__(self):
         self.x: Dict[Edge, float] = {}
-        self.fdeg: Dict[int, float] = {}
 
     def set_value(self, u: int, v: int, value: float) -> None:
         if value < 0:
             raise ValueError("negative fractional value")
         e = norm_edge(u, v)
-        old = self.x.get(e, 0.0)
         if value == 0.0:
             self.x.pop(e, None)
         else:
             self.x[e] = value
-        for w in e:
-            self.fdeg[w] = self.fdeg.get(w, 0.0) + value - old
 
     def value(self) -> float:
         return sum(self.x.values())

@@ -152,9 +152,11 @@ class AdaptiveAdversary:
 
     Feedback channel: the single value passed to step(); every read is
     logged. Strategy: grow a bipartite-ish graph; whenever the estimate
-    reaches `trigger`, a share of n // 2 (no estimate exceeds mu), tear out
-    the edges most recently credited (newest inserts, which the maintained
-    structures lean on) and re-insert elsewhere.
+    has risen since the previous read and reaches `trigger`, a share of
+    n // 2 (no estimate exceeds mu), tear out the edges most recently
+    credited (newest inserts, which the maintained structures lean on) and
+    re-insert elsewhere. A read that has not risen lets the graph grow, so
+    the live edge count climbs to `target` between strikes.
     """
 
     def __init__(self, n: int, seed: int, batch: int = 20,
@@ -172,9 +174,11 @@ class AdaptiveAdversary:
 
     def step(self, last_estimate: float) -> List[UpdateEvent]:
         """One batch of updates, shaped by the last published estimate."""
-        self.estimate_log.append(last_estimate)
+        log = self.estimate_log
+        rose = bool(log) and last_estimate > log[-1]
+        log.append(last_estimate)
         events: List[UpdateEvent] = []
-        aggressive = last_estimate >= self.trigger
+        aggressive = rose and last_estimate >= self.trigger
         if aggressive and self.live:
             # delete the most recently inserted surviving edges
             kill = [e for e in reversed(self.recent) if e in self.live]

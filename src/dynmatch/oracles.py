@@ -13,7 +13,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from .graph import BMatching, DynamicGraph, Edge, Matching, norm_edge
+from .graph import (BMatching, DynamicGraph, Edge, Matching,
+                    first_pass_matching)
 
 GENERAL_EXACT_CAP = 64
 AUG_PATH_CAP = 24
@@ -179,13 +180,9 @@ def max_matching_size(g: DynamicGraph) -> int:
 
 
 def greedy_maximal_matching(g: DynamicGraph, ranks: RankFunction) -> Matching:
-    """Scan edges in increasing rank; add when both endpoints are free."""
-    order = sorted(g.edges(), key=lambda e: ranks.sort_key(*e))
-    m = Matching()
-    for (u, v) in order:
-        if not m.is_matched(u) and not m.is_matched(v):
-            m.add(u, v)
-    return m
+    """The greedy scan over the edges in increasing rank."""
+    return first_pass_matching(
+        sorted(g.edges(), key=lambda e: ranks.sort_key(*e)))
 
 
 def maximal_b_matching_reference(g: DynamicGraph, caps: Dict[int, int],

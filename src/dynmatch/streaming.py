@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .graph import (BMatching, DynamicGraph, Edge, Matching, NotMaximal,
-                    norm_edge)
+                    first_pass_matching, norm_edge)
 from . import oracles
 
 B_BIPARTITE = 1.0 + math.sqrt(2.0)
+DELTA = 1.0 / B_BIPARTITE
 B_GENERAL = 9
 
 
@@ -28,43 +29,29 @@ class NonBipartiteInput(Exception):
 
 @dataclass(frozen=True)
 class SecondPassConfig:
-    """Capacity parameters of the second pass: caps k on matched vertices and
-    floor(k*b) on free vertices; the estimate mixes with delta = 1/b."""
+    """The bipartite second pass's cap k on matched vertices; a free vertex
+    takes floor(k*b), for b = `B_BIPARTITE`, and the estimate mixes with
+    delta = `DELTA` = 1/b."""
 
-    b: float
     k: int
-    delta: float
-    eps_prime: float
 
     @staticmethod
     def bipartite(eps: float) -> "SecondPassConfig":
-        # the derived precision is eps/16 (stricter of the two candidate
-        # wirings); k >= 8/(eps' * b)
-        eps_prime = eps / 16.0
-        b = B_BIPARTITE
-        k = math.ceil(8.0 / (eps_prime * b))
-        return SecondPassConfig(b=b, k=k, delta=1.0 / b, eps_prime=eps_prime)
+        # k >= 8/(eps' * b) at the derived precision eps' = eps/16 (the
+        # stricter of the two candidate wirings)
+        return SecondPassConfig(
+            k=math.ceil(8.0 / ((eps / 16.0) * B_BIPARTITE)))
 
     @property
     def free_cap(self) -> int:
         """floor(k*b), the M2 capacity of a free vertex."""
-        return int(self.k * self.b)
+        return int(self.k * B_BIPARTITE)
 
     def mix(self, m1: int, m2: int) -> float:
         """(1-delta)*m1 + (delta/k)*m2. Correctly rounded float operations
         are monotone, so the value never falls as m2 grows: an upper bound
         on |M2| bounds the mix exactly."""
-        return (1.0 - self.delta) * m1 + (self.delta / self.k) * m2
-
-
-def first_pass_matching(edges: Iterable[Edge]) -> Matching:
-    """Greedy maximal matching in stream order (maximal, hence valid for any
-    approximate-maximality requirement)."""
-    m = Matching()
-    for (u, v) in edges:
-        if u != v and not m.is_matched(u) and not m.is_matched(v):
-            m.add(u, v)
-    return m
+        return (1.0 - DELTA) * m1 + (DELTA / self.k) * m2
 
 
 def bulk_maximal_b_matching(edges: Sequence[Edge], caps: Dict[int, int]) -> BMatching:
@@ -244,48 +231,35 @@ def draw_second_pass(boundary: Boundary, part: Bipartition, b: int
 
 
 def second_pass_general(boundary: Boundary, part: Bipartition,
-                        b: int) -> Tuple[BMatching, List[Edge]]:
-    """`draw_second_pass` as a `BMatching` M2, capacities on the endpoints
-    of the crossing edges, plus M1_hat: the M1 edges with both endpoints
-    matched in M2, in M1's partner-map order. The draw costs
+                        b: int) -> Tuple[Dict[int, int], List[Edge]]:
+    """(M2, M1_hat): M2 is `draw_second_pass`'s mate map, which with cap 1
+    on the matched side is all of M2, and M1_hat lists the M1 edges with
+    both endpoints matched in M2, in M1's partner-map order. The draw costs
     O(|B| + coin words) whatever n is; listing M1_hat reads M1 once more,
     O(|M1|)."""
     mate, _ = draw_second_pass(boundary, part, b)
-    coins = part.coins(boundary.words)
-    caps: Dict[int, int] = {}
-    for m, free, byte, right in boundary.edges:
-        if coins[byte] >> 7 != right:
-            caps[m] = 1
-            caps[free] = b
-    m2 = BMatching(caps)
-    for m, free in mate.items():
-        m2.add(m, free)
     # M1's edges in order, read from its partner map (see `Matching`)
     m1_hat = [(u, v) for u, v in boundary.partner.items()
               if u < v and u in mate and v in mate]
-    return m2, m1_hat
+    return mate, m1_hat
 
 
-def disjoint_augmenting_paths(M1_hat: Sequence[Edge], m2: BMatching
+def disjoint_augmenting_paths(M1_hat: Sequence[Edge], mate: Dict[int, int]
                               ) -> List[Tuple[int, int, int, int]]:
-    """Vertex-disjoint 3-augmenting paths u'-u-v-v' from M1_hat.
+    """Vertex-disjoint 3-augmenting paths u'-u-v-v' from M1_hat, for u' =
+    mate[u] and v' = mate[v] in the M2 mate map of `second_pass_general`.
 
     Contract each candidate path to the edge (u', v') between its free
     endpoints; that contracted graph is bipartite with max degree <= b, so its
     maximum matching has size >= |M1_hat|/b, and each matched contracted edge
     lifts back to a path (the V(M1) middles are distinct by construction).
     """
-    partner_in_m2: Dict[int, int] = {}
-    for (a, c) in m2.mult:
-        for v in (a, c):
-            if v not in partner_in_m2:
-                partner_in_m2[v] = c if v == a else a
     paths: Dict[Edge, Tuple[int, int, int, int]] = {}
     contracted: Dict[Edge, None] = {}
     free_ids: Dict[int, None] = {}
     for (u, v) in M1_hat:
-        up = partner_in_m2[u]
-        vp = partner_in_m2[v]
+        up = mate[u]
+        vp = mate[v]
         ce = norm_edge(up, vp)
         if ce not in contracted:
             contracted[ce] = None
@@ -309,7 +283,7 @@ def disjoint_augmenting_paths(M1_hat: Sequence[Edge], m2: BMatching
 class GeneralTwoPassResult:
     value: int
     M1: Matching
-    M2: BMatching
+    M2: Dict[int, int]  # the mate map: M1 vertex -> free M2 partner
     M1_hat: List[Edge]
     part: Bipartition
 
@@ -333,7 +307,7 @@ def general_two_pass(edges: Sequence[Edge], n: int, b: int = B_GENERAL,
     union = DynamicGraph(n)
     for (u, v) in m1.edges():
         union.insert(u, v)
-    for (u, v) in m2.mult:
+    for (u, v) in m2.items():
         union.insert(u, v)
     value, _ = oracles.max_matching_exact(union)
     return GeneralTwoPassResult(value=value, M1=m1, M2=m2, M1_hat=m1_hat,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple)
 
-from .graph import DynamicGraph, Matching
+from .graph import DynamicGraph, Matching, first_pass_matching
 from .oracles import RankFunction, greedy_maximal_matching
 
 
@@ -368,28 +368,21 @@ def mm_size_estimate(g: DynamicGraph, eps: float, seed: int,
 
 
 def _materialized_h_gmm(h: ImplicitSupergraph, ranks: RankFunction):
-    """Global GMM over an explicitly materialized H (small n only)."""
+    """Global GMM over an explicitly materialized H (small n only), as
+    (partner map, chosen edges): the greedy scan in increasing rank."""
     _, edges = h.materialize()
-    order = sorted(edges, key=lambda e: ranks.sort_key(*e))
-    matched: Dict[Tuple, Tuple] = {}
-    chosen = []
-    for (a, b) in order:
-        if a not in matched and b not in matched:
-            matched[a] = b
-            matched[b] = a
-            chosen.append((a, b))
-    return matched, chosen
+    m = first_pass_matching(sorted(edges, key=lambda e: ranks.sort_key(*e)))
+    return m.partner, m.edges()
 
 
 @functools.lru_cache(maxsize=1)
 def _materialized_h(n: int, edges: FrozenSet[Tuple[int, int]], eps: float
-                    ) -> Tuple[Tuple[bytes, ...], Tuple[Tuple[int, int], ...],
-                               int]:
+                    ) -> Tuple[Tuple[bytes, ...], Tuple[Tuple[int, int], ...]]:
     """The seed-independent part of GMM over a materialized H for the graph
     on [0, n) with `edges`: H's edges in name order, each as the bytes its
-    rank hashes and as a pair of endpoint ids, with ("v", i) numbered i, and
-    the number of ids. The last graph is kept, so a run of seeds on one
-    graph builds H once."""
+    rank hashes and as a pair of endpoint ids, with ("v", i) numbered i.
+    The last graph is kept, so a run of seeds on one graph builds H
+    once."""
     g = DynamicGraph(n)
     for e in edges:
         g.insert(*e)
@@ -400,7 +393,7 @@ def _materialized_h(n: int, edges: FrozenSet[Tuple[int, int]], eps: float
     names = tuple(repr(e).encode() for e in h_edges)
     ends = tuple((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
                  for (a, b) in h_edges)
-    return names, ends, len(ids)
+    return names, ends
 
 
 def exact_pair_matched_count(g: DynamicGraph, m_star: Matching, eps: float,
@@ -409,15 +402,15 @@ def exact_pair_matched_count(g: DynamicGraph, m_star: Matching, eps: float,
     materialized H; the reference the sampling path is checked against.
     H is built once per graph and eps (`_materialized_h`); a seed only
     re-ranks its edges. A stable sort of the name-ordered edges by rank
-    breaks ties by name, as `RankFunction.sort_key` orders them."""
-    names, ends, ids = _materialized_h(g.n, frozenset(g.edges()), eps)
+    breaks ties by name, as `RankFunction.sort_key` orders them; the
+    greedy scan then runs on the endpoint ids."""
+    names, ends = _materialized_h(g.n, frozenset(g.edges()), eps)
     ranks = RankFunction(seed).ranks_of(names)
-    matched = bytearray(ids)
-    for i in sorted(range(len(names)), key=ranks.__getitem__):
-        a, b = ends[i]
-        if not matched[a] and not matched[b]:
-            matched[a] = matched[b] = 1
-    return sum(1 for (u, v) in m_star.edges() if matched[u] and matched[v])
+    matched = first_pass_matching(
+        ends[i] for i in sorted(range(len(names)), key=ranks.__getitem__)
+    ).partner
+    return sum(1 for (u, v) in m_star.edges()
+               if u in matched and v in matched)
 
 
 def pair_matched_sample_count(n: int, eps: float,

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from dynmatch.graph import DynamicGraph, FractionalMatching
+from dynmatch.graph import (DynamicGraph, FractionalMatching,
+                            first_pass_matching)
 from dynmatch import oracles
 from dynmatch.amm import (AMfM, AMMMaintainer, DynamicMaximalMatching, Kernel,
                           KernelValidationFailed, ValidationFailed,
@@ -13,7 +14,6 @@ from dynmatch.amm import (AMfM, AMMMaintainer, DynamicMaximalMatching, Kernel,
                           required_degree_bound, static_amm_from_kernel,
                           validate_amfm, validate_kernel)
 from dynmatch.harness import generate_workload
-from dynmatch.streaming import first_pass_matching
 
 
 def build(n, edges):

@@ -12,9 +12,10 @@ from dynmatch.estimator import (ContractedMember, ContractionFamily, Estimator,
                                 bipartite_query, combine_amm_and_alpha,
                                 general_query)
 from dynmatch.harness import generate_workload
-from dynmatch.streaming import (B_GENERAL, Boundary, SecondPassConfig,
-                                disjoint_augmenting_paths, random_bipartition,
-                                second_pass_bipartite, second_pass_general)
+from dynmatch.streaming import (B_BIPARTITE, B_GENERAL, DELTA, Boundary,
+                                SecondPassConfig, disjoint_augmenting_paths,
+                                random_bipartition, second_pass_bipartite,
+                                second_pass_general)
 
 
 def build(n, edges):
@@ -26,7 +27,8 @@ def build(n, edges):
 
 def test_config_derived_constants():
     cfg = EstimatorConfig(mode="bipartite", eps=0.2)
-    assert cfg.spc.b == pytest.approx(1 + math.sqrt(2))
+    assert cfg.spc == SecondPassConfig.bipartite(0.2)
+    assert B_BIPARTITE == pytest.approx(1 + math.sqrt(2))
     assert B_GENERAL == 9
     # tradeoff mode runs at its provider's alpha = 2, where c = 0
     assert estimator.ALPHA == 2.0
@@ -38,6 +40,11 @@ def test_config_derived_constants():
     for bad in (-0.1, 0.0, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError):
             EstimatorConfig(mode="bipartite", eps=bad)
+    # seed and reps are integers: a float would fail only in an estimate
+    for bad in ({"reps": 2.5}, {"reps": 2.0}, {"reps": 0}, {"seed": 1.5},
+                {"seed": "1"}):
+        with pytest.raises(ValueError):
+            EstimatorConfig(mode="general", eps=0.2, **bad)
 
 
 def test_contracted_member_self_pair_suppressed():
@@ -110,14 +117,14 @@ def test_family_routing_and_audit():
 
 def test_bipartite_query_examples():
     spc = SecondPassConfig.bipartite(0.2)
-    b = spc.b
+    b = B_BIPARTITE
     g = build(8, [(i, i + 4) for i in range(4)])
     m1 = Matching([(i, i + 4) for i in range(4)])
     nu, psi, _ = bipartite_query(g, m1, spc)
     assert psi == 0 and nu == pytest.approx((1 - 1 / b) * 4)
     path = build(4, [(0, 1), (1, 2), (2, 3)])
     nu, _, _ = bipartite_query(path, Matching([(1, 2)]), spc)
-    assert nu == pytest.approx(1 + spc.delta)
+    assert nu == pytest.approx(1 + DELTA)
     # non-2-colorable input degrades to the matching size
     tri = build(3, [(0, 1), (1, 2), (0, 2)])
     nu, _, _ = bipartite_query(tri, Matching([(0, 1)]), spc)
@@ -155,17 +162,24 @@ def test_general_query_lower_bound_certificate():
             assert len(m1) <= nu <= mu + 1e-9
 
 
-@pytest.mark.parametrize("n,horizon", [(8192, 1500), (2048, 3000)])
-def test_general_value_certified_at_served_sizes(n, horizon):
-    """General mode's nu <= mu where the exact oracle's general route (64
-    touched vertices) cannot check it: at every `q`, repetition 0's pass is
-    rebuilt and M1 is augmented along the vertex-disjoint 3-augmenting
-    paths that its pair-matched edges carry. The result is a matching of
-    the live graph, so its size is at most mu, and it is at least nu."""
+@pytest.mark.parametrize("mode,n,horizon", [
+    pytest.param("general", 8192, 1500, id="8192-1500"),
+    pytest.param("general", 2048, 3000, id="2048-3000"),
+    pytest.param("tradeoff", 8192, 1500, id="tradeoff-8192-1500"),
+    pytest.param("tradeoff", 2048, 3000, id="tradeoff-2048-3000"),
+])
+def test_general_value_certified_at_served_sizes(mode, n, horizon):
+    """General and tradeoff mode's nu <= mu where the exact oracle's
+    general route (64 touched vertices) cannot check it: at every `q`,
+    repetition 0's pass is rebuilt on the served M1 (in tradeoff mode, the
+    AMM's matching combined with the provider's) and M1 is augmented along
+    the vertex-disjoint 3-augmenting paths that its pair-matched edges
+    carry. The result is a matching of the live graph, so its size is at
+    most mu, and it is at least nu."""
     events = generate_workload("random-er", n, seed=14, horizon=horizon,
                                density=4.0 / (n - 1), query_every=100)
-    est = Estimator(n, EstimatorConfig(mode="general", eps=0.3, seed=1,
-                                       reps=1))
+    est = Estimator(n, EstimatorConfig(mode=mode, eps=0.3, seed=1, reps=1))
+    b = B_GENERAL if mode == "general" else estimator.B_STAR
     augmented_at = 0
     for ev in events:
         if ev.kind != "q":
@@ -173,11 +187,13 @@ def test_general_value_certified_at_served_sizes(n, horizon):
             continue
         se = est.estimate()
         m1 = est.amm.matching()
+        if mode == "tradeoff":
+            m1 = combine_amm_and_alpha(m1, est.alpha_source.m)
         part = random_bipartition(m1, n, _mix(1, 0, est.g.ops))
-        m2, m1_hat = second_pass_general(
-            Boundary(list(est.g.edges()), m1), part, B_GENERAL)
+        mate, m1_hat = second_pass_general(
+            Boundary(list(est.g.edges()), m1), part, b)
         assert len(m1_hat) == se.components["kappa"]
-        paths = disjoint_augmenting_paths(m1_hat, m2)
+        paths = disjoint_augmenting_paths(m1_hat, mate)
         hosts = {(min(u, v), max(u, v)) for (_, u, v, _) in paths}
         augmented = Matching(e for e in m1.edges() if e not in hosts)
         for (up, u, v, vp) in paths:
@@ -291,7 +307,7 @@ def test_bipartite_value_floored_at_m1():
     for i in range(4):
         est.insert(i, i + 4)
     mix, _, _ = bipartite_query(est.g, est.amm.matching(), cfg.spc)
-    assert mix == pytest.approx((1 - 1 / cfg.spc.b) * 4)
+    assert mix == pytest.approx((1 - 1 / B_BIPARTITE) * 4)
     se = est.estimate()
     assert se.nu == 4.0 and se.components["bound"] == "m1"
 
@@ -305,7 +321,7 @@ def test_bipartite_value_serves_mix_above_m1():
         est.insert(*e)
     assert sorted(est.amm.matching().edges()) == [(1, 2)]
     se = est.estimate()
-    assert se.nu == pytest.approx(1 + cfg.spc.delta)
+    assert se.nu == pytest.approx(1 + DELTA)
     assert se.components["bound"] == "mix"
 
 

@@ -117,21 +117,25 @@ def test_adaptive_adversary_turns_aggressive_at_criterion_9_parameters():
     criterion 9's parameters some batch opens with the aggressive branch's
     batch // 2 deletions of the newest edges. Outside that branch a batch
     deletes only to hold the live edge count at the target, one deletion
-    between inserts."""
+    between inserts. Only a rising estimate strikes, so the graph still
+    grows: a strike after every read would hold it at one batch of edges."""
     n, every = 300, 100
     cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=1, reps=25)
     ev = generate_workload("adaptive-adversary", n, seed=900, horizon=10**4,
                            density=0.1, query_every=every, cfg=cfg)
     batches, batch = [], []
+    live = set()
     for e in ev:
         if e.kind == "q":
             batches.append(batch)
             batch = []
         else:
             batch.append(e)
+            (live.add if e.kind == "i" else live.discard)(e.edge())
     assert len(batches) == 100
     assert any(all(e.kind == "d" for e in b[:every // 2])
                for b in batches[1:])
+    assert len(live) > every
 
 
 def test_adaptive_workload_is_replayable():

@@ -5,9 +5,9 @@ import statistics
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynmatch.graph import BMatching, DynamicGraph, Matching
+from dynmatch.graph import BMatching, DynamicGraph, Matching, norm_edge
 from dynmatch import estimator, oracles
-from dynmatch.streaming import (B_BIPARTITE, B_GENERAL, Boundary,
+from dynmatch.streaming import (B_BIPARTITE, B_GENERAL, DELTA, Boundary,
                                 NonBipartiteInput, SecondPassConfig,
                                 bipartite_two_pass, bulk_maximal_b_matching,
                                 coin_byte, disjoint_augmenting_paths,
@@ -28,10 +28,11 @@ PATH4 = [(0, 1), (1, 2), (2, 3)]
 
 def test_config_derivation():
     cfg = SecondPassConfig.bipartite(0.15)
-    assert cfg.b == pytest.approx(1 + math.sqrt(2))
-    assert cfg.delta == pytest.approx(1 / cfg.b)
-    assert cfg.k == math.ceil(8.0 / (cfg.eps_prime * cfg.b))
-    assert cfg.eps_prime == pytest.approx(0.15 / 16)
+    assert B_BIPARTITE == pytest.approx(1 + math.sqrt(2))
+    assert DELTA == 1.0 / B_BIPARTITE
+    # k >= 8 / (eps' * b) at eps' = eps / 16
+    assert cfg.k == math.ceil(8.0 / ((0.15 / 16) * B_BIPARTITE)) == 354
+    assert cfg.free_cap == int(cfg.k * B_BIPARTITE)
 
 
 def test_first_pass_traces():
@@ -113,7 +114,7 @@ def test_bipartite_two_pass_path_middle_first():
     cfg = SecondPassConfig.bipartite(0.15)
     assert m1.edges() == [(1, 2)]
     assert m2.size == 2 * cfg.k
-    assert nu == pytest.approx(1 + cfg.delta)
+    assert nu == pytest.approx(1 + DELTA)
     assert 2 / nu < 1 + 1 / math.sqrt(2) + 0.15
 
 
@@ -171,7 +172,7 @@ def test_general_two_pass_triangle_and_disjoint():
         res = general_two_pass([(0, 1), (1, 2), (0, 2)], seed=seed, n=3)
         assert res.value == 1
     res = general_two_pass(DISJOINT4, seed=0, n=8)
-    assert res.value == 4 and res.M2.size == 0
+    assert res.value == 4 and res.M2 == {}
 
 
 def test_general_two_pass_path_flip_cases():
@@ -218,9 +219,9 @@ def test_disjoint_paths_size_and_disjointness():
                 edges.append((u, v))
         m1 = first_pass_matching(edges)
         part = random_bipartition(m1, n, trial)
-        m2, m1_hat = second_pass_general(Boundary(edges, m1), part,
-                                         B_GENERAL)
-        paths = disjoint_augmenting_paths(m1_hat, m2)
+        mate, m1_hat = second_pass_general(Boundary(edges, m1), part,
+                                           B_GENERAL)
+        paths = disjoint_augmenting_paths(m1_hat, mate)
         assert len(paths) >= len(m1_hat) / B_GENERAL - 1e-9
         used = set()
         g = build(n, [tuple(sorted(e)) for e in edges])
@@ -333,10 +334,13 @@ def test_sparse_passes_bit_identical_to_dense_reference():
             assert {v: part.side_of(v) for v in range(n)} == side
             for b in (1, B_GENERAL):
                 part = random_bipartition(m1, n, seed)
-                m2, m1_hat = second_pass_general(boundary, part, b)
+                mate, m1_hat = second_pass_general(boundary, part, b)
                 ref_m2, ref_hat = dense_second_pass_general(edges, m1, side,
                                                             b, n)
-                assert list(m2.mult.items()) == list(ref_m2.mult.items())
+                # cap 1 on the matched side: one copy per M2 edge, and the
+                # mate map is all of M2, in the order the copies were taken
+                assert list(ref_m2.mult.items()) == [
+                    (norm_edge(*e), 1) for e in mate.items()]
                 assert m1_hat == ref_hat
                 # the served draw counts kappa without listing M1_hat
                 [(_, kappa)], _ = estimator.general_query(g, m1, b, [seed])
