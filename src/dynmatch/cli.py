@@ -40,6 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["bipartite", "general", "tradeoff"],
                      help="estimator mode driven by the adaptive workload")
     gen.add_argument("--eps", type=float, default=0.2)
+    gen.add_argument("--reps", type=int, default=1)
 
     run = sub.add_parser("run", help="replay a stream and write a report")
     run.add_argument("--stream", required=True)
@@ -63,14 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     cfg = None
+    header = (f"workload={args.workload} n={args.n} seed={args.seed} "
+              f"horizon={args.horizon}")
     if args.workload == "adaptive-adversary":
-        cfg = EstimatorConfig(mode=args.mode, eps=args.eps, seed=args.seed)
+        cfg = EstimatorConfig(mode=args.mode, eps=args.eps, seed=args.seed,
+                              reps=args.reps)
+        header += f" mode={args.mode} eps={args.eps} reps={args.reps}"
     events = harness.generate_workload(
         args.workload, args.n, args.seed, horizon=args.horizon,
         density=args.density, window=args.window,
         query_every=args.query_every, cfg=cfg)
-    header = (f"workload={args.workload} n={args.n} seed={args.seed} "
-              f"horizon={args.horizon}")
     write_stream(args.out, events, header=header)
     print(f"wrote {len(events)} events to {args.out}")
     return 0

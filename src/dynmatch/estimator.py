@@ -60,10 +60,10 @@ class EstimatorConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.eps < 1.0:  # also rejects NaN
             raise ValueError(f"eps={self.eps} outside (0, 1)")
-        # a float seed or count would otherwise fail only in an estimate
+        # a float would fail only in an estimate, and a bool is no count
         for name in ("seed", "reps"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise ValueError(f"{name}={value!r} is not an integer")
         if self.reps < 1:
             raise ValueError("repetition count must be >= 1")
@@ -206,8 +206,8 @@ def general_query(g: DynamicGraph, m1: Matching, b: int,
     <= mu(g): at least kappa/b of those edges carry vertex-disjoint
     3-augmenting paths (`streaming.disjoint_augmenting_paths`). One
     boundary, built in one O(m) read of the live edges, serves every seed;
-    each seed then costs O(|B| + coin words), its coins indexed by vertex
-    id (`streaming.Bipartition`)."""
+    each seed then costs O(|B|): its draw computes one coin per free
+    boundary vertex from (seed, vertex id) (`streaming.coin`)."""
     boundary = Boundary(g.edges(), m1)
     size = len(m1)
     out = []

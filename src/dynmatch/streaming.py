@@ -10,7 +10,6 @@ estimators, which replay the live edge set instead of a stream.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -129,28 +128,16 @@ class Bipartition:
     """Vertex side labels on [0, n): each M1 edge split deterministically
     (lower id left), free vertices by independent fair coins from the seed.
 
-    Coin contract: free vertex v is "r" iff the top bit of the seed
-    generator's v-th 32-bit output word is set, which is exactly what the
-    v-th `getrandbits(1)` call on `random.Random(seed)` returns; a matched
-    id's word is drawn and ignored. Words are drawn on demand, up to the
-    highest id asked, and draws in pieces give the bytes of one
-    `getrandbits(32 * k)` call. M1 is read, not copied.
+    Coin contract: free vertex v is "r" iff `coin(seed, v)` is 1, the top
+    bit of SplitMix64's (v+1)-th output from state seed mod 2^64. A coin is
+    computed from (seed, v) alone, so construction is O(1) and each side
+    costs O(1), whatever the id. M1 is read, not copied.
     """
 
     def __init__(self, M1: Matching, n: int, seed: int):
         self.n = n
+        self.seed = seed
         self._partner = M1.partner
-        self._rng = random.Random(seed)
-        self._words = bytearray()
-
-    def coins(self, words: int) -> bytearray:
-        """The first `words` coin words; v's coin is in `coin_byte(v)`."""
-        drawn = len(self._words) >> 2
-        if words > drawn:
-            k = words - drawn
-            self._words += self._rng.getrandbits(32 * k).to_bytes(
-                4 * k, "little")
-        return self._words
 
     def side_of(self, v: int) -> str:
         if not 0 <= v < self.n:
@@ -158,14 +145,24 @@ class Bipartition:
         partner = self._partner.get(v)
         if partner is not None:
             return "l" if v < partner else "r"
-        return "r" if self.coins(v + 1)[coin_byte(v)] >> 7 else "l"
+        return "r" if coin(self.seed, v) else "l"
 
     def crosses(self, u: int, v: int) -> bool:
         return self.side_of(u) != self.side_of(v)
 
 
-def coin_byte(v: int) -> int:
-    return 4 * v + 3  # the top byte of a little-endian word
+_MASK64 = (1 << 64) - 1
+
+
+def coin(seed: int, v: int) -> int:
+    """The top bit of SplitMix64's (v+1)-th output from state seed mod 2^64
+    (Steele, Lea & Flood, OOPSLA 2014): z = seed + (v+1)*golden gamma, then
+    the finalizer's xor-shifts and multiplies, all mod 2^64. The last
+    xor-shift (by 31) leaves the top bit alone, so it is not applied."""
+    z = (seed + (v + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z >> 63
 
 
 def random_bipartition(M1: Matching, n: int, seed: int) -> Bipartition:
@@ -175,23 +172,22 @@ def random_bipartition(M1: Matching, n: int, seed: int) -> Bipartition:
 class Boundary:
     """The seed-independent part of the general second pass, shared by all
     bipartition draws: the edges with exactly one M1-matched endpoint, in
-    edge order, each as (matched endpoint, free endpoint, coin byte of the
-    free endpoint, 1 iff the matched endpoint is "r"), and the number of
-    coin `words` they read, the highest free id + 1. Built in one O(m)
-    pass; each draw over it then costs O(|B| + coin words), for B the
-    boundary."""
+    edge order, each as (matched endpoint, free endpoint, 1 iff the matched
+    endpoint is "r"), and `free`, their distinct free endpoints in the
+    order the edges first reach them. Built in one O(m) pass; each draw
+    over it then costs O(|B|), for B the boundary."""
 
     def __init__(self, edges: Iterable[Edge], M1: Matching):
         partner = self.partner = M1.partner
-        self.edges: List[Tuple[int, int, int, int]] = []
-        self.words = 0
+        self.edges: List[Tuple[int, int, int]] = []
+        seen: Dict[int, None] = {}
         for (u, v) in edges:
             if (u in partner) == (v in partner):
                 continue
             m, free = (u, v) if u in partner else (v, u)
-            self.words = max(self.words, free + 1)
-            self.edges.append((m, free, coin_byte(free),
-                               int(m > partner[m])))
+            seen[free] = None
+            self.edges.append((m, free, int(m > partner[m])))
+        self.free: List[int] = list(seen)
 
 
 def draw_second_pass(boundary: Boundary, part: Bipartition, b: int
@@ -202,20 +198,22 @@ def draw_second_pass(boundary: Boundary, part: Bipartition, b: int
     free M2 partner, in the order the copies were taken; with cap 1 on the
     matched side, each M2 edge has one copy. kappa is |M1_hat|, the number
     of M1 edges with both endpoints matched in M2, counted as each M1
-    edge's second endpoint is taken. One loop takes the copies and one
-    re-checks maximality (raises NotMaximal): O(|B| + coin words), with no
-    term in |M1|. A free capacity b < 1 raises ValueError, also on an
+    edge's second endpoint is taken. Each free boundary vertex's coin is
+    computed once, then one loop takes the copies and one re-checks
+    maximality (raises NotMaximal): O(|B|), with no term in n, the highest
+    free id or |M1|. A free capacity b < 1 raises ValueError, also on an
     empty boundary."""
     if b < 1:
         raise ValueError(f"free capacity b={b} must be positive")
     entries = boundary.edges
-    coins = part.coins(boundary.words)
+    seed = part.seed
+    coins = {v: coin(seed, v) for v in boundary.free}
     partner = boundary.partner
     mate: Dict[int, int] = {}
     load: Dict[int, int] = {}
     kappa = 0
-    for m, free, byte, right in entries:
-        if coins[byte] >> 7 == right or m in mate:
+    for m, free, right in entries:
+        if coins[free] == right or m in mate:
             continue
         taken = load.get(free, 0)
         if taken < b:
@@ -223,8 +221,8 @@ def draw_second_pass(boundary: Boundary, part: Bipartition, b: int
             load[free] = taken + 1
             if partner[m] in mate:
                 kappa += 1
-    for m, free, byte, right in entries:
-        if (coins[byte] >> 7 != right and m not in mate
+    for m, free, right in entries:
+        if (coins[free] != right and m not in mate
                 and load.get(free, 0) < b):
             raise NotMaximal(f"b-matching not maximal at ({m},{free})")
     return mate, kappa
@@ -235,8 +233,7 @@ def second_pass_general(boundary: Boundary, part: Bipartition,
     """(M2, M1_hat): M2 is `draw_second_pass`'s mate map, which with cap 1
     on the matched side is all of M2, and M1_hat lists the M1 edges with
     both endpoints matched in M2, in M1's partner-map order. The draw costs
-    O(|B| + coin words) whatever n is; listing M1_hat reads M1 once more,
-    O(|M1|)."""
+    O(|B|) whatever n is; listing M1_hat reads M1 once more, O(|M1|)."""
     mate, _ = draw_second_pass(boundary, part, b)
     # M1's edges in order, read from its partner map (see `Matching`)
     m1_hat = [(u, v) for u, v in boundary.partner.items()

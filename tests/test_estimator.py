@@ -40,9 +40,11 @@ def test_config_derived_constants():
     for bad in (-0.1, 0.0, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError):
             EstimatorConfig(mode="bipartite", eps=bad)
-    # seed and reps are integers: a float would fail only in an estimate
+    # seed and reps are integers: a float would fail only in an estimate,
+    # and a bool is no count
     for bad in ({"reps": 2.5}, {"reps": 2.0}, {"reps": 0}, {"seed": 1.5},
-                {"seed": "1"}):
+                {"seed": "1"}, {"reps": True}, {"reps": False},
+                {"seed": True}, {"seed": False}):
         with pytest.raises(ValueError):
             EstimatorConfig(mode="general", eps=0.2, **bad)
 

@@ -315,6 +315,41 @@ def test_cli_runs_are_byte_identical(tmp_path):
     assert open(r1, "rb").read() == open(r2, "rb").read()
 
 
+def test_cli_adaptive_general_replay_publishes_the_reads(tmp_path,
+                                                         monkeypatch):
+    """`gen --reps` sets the repetitions of the estimator the adversary
+    reads, so `run` with the same settings publishes exactly those reads."""
+    adversaries = []
+
+    class Logged(AdaptiveAdversary):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            adversaries.append(self)
+
+    monkeypatch.setattr(harness, "AdaptiveAdversary", Logged)
+    stream = str(tmp_path / "s.txt")
+    assert cli_main(["gen", "--workload", "adaptive-adversary", "--n", "40",
+                     "--seed", "9", "--density", "0.1", "--horizon", "400",
+                     "--query-every", "20", "--mode", "general", "--eps",
+                     "0.2", "--reps", "5", "--out", stream]) == 0
+    assert open(stream).readline().endswith(
+        " mode=general eps=0.2 reps=5\n")
+    [adv] = adversaries
+    served = {}
+    for reps in ("5", "1"):
+        report = str(tmp_path / f"r{reps}.json")
+        assert cli_main(["run", "--stream", stream, "--n", "40", "--mode",
+                         "general", "--eps", "0.2", "--seed", "9", "--reps",
+                         reps, "--report", report]) == 0
+        served[reps] = [row["nu"] for row in read_report(report).rows]
+    # the first step reads nothing; the read after the last batch feeds
+    # no further step
+    assert adv.estimate_log[0] == 0.0
+    assert served["5"][:-1] == adv.estimate_log[1:]
+    assert len(served["5"]) == 20
+    assert served["1"] != served["5"]
+
+
 RUN_ARGS = ["--n", "10", "--mode", "bipartite", "--report", "{d}/r.json"]
 # criteria files that are not an object of known, finite, numeric gates
 CRITERIA = {

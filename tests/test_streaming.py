@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynmatch.graph import BMatching, DynamicGraph, Matching, norm_edge
-from dynmatch import estimator, oracles
+from dynmatch import estimator, oracles, streaming
 from dynmatch.streaming import (B_BIPARTITE, B_GENERAL, DELTA, Boundary,
                                 NonBipartiteInput, SecondPassConfig,
                                 bipartite_two_pass, bulk_maximal_b_matching,
-                                coin_byte, disjoint_augmenting_paths,
-                                first_pass_matching, general_two_pass,
-                                random_bipartition, second_pass_general)
+                                coin, disjoint_augmenting_paths,
+                                draw_second_pass, first_pass_matching,
+                                general_two_pass, random_bipartition,
+                                second_pass_general)
 
 
 def build(n, edges):
@@ -238,12 +239,11 @@ def test_disjoint_paths_size_and_disjointness():
 
 
 def dense_sides(m1, n, seed):
-    """Reference: one getrandbits(1) per vertex id, in id order; a matched
-    vertex ignores its bit and takes its side from its M1 edge."""
-    rng = random.Random(seed)
+    """Reference: one coin per vertex id, in id order; a matched vertex
+    ignores its coin and takes its side from its M1 edge."""
     side = {}
     for v in range(n):
-        bit = rng.getrandbits(1)
+        bit = coin(seed, v)
         if m1.is_matched(v):
             side[v] = "l" if v < m1.partner[v] else "r"
         else:
@@ -356,8 +356,8 @@ def test_general_pass_rejects_nonpositive_b_on_a_boundary(b):
     g = build(4, [(0, 1), (1, 2), (2, 3)])
     m1 = Matching([(1, 2)])
     boundary = Boundary(list(g.edges()), m1)
-    assert [(m, free) for (m, free, _, _) in boundary.edges] == [(1, 0),
-                                                                (2, 3)]
+    assert boundary.edges == [(1, 0, 0), (2, 3, 1)]
+    assert boundary.free == [0, 3]
     # an edgeless graph has an empty boundary, and b is still checked
     empty = build(4, [])
     for seed in range(4):
@@ -380,7 +380,7 @@ def test_lazy_coins_match_dense_reference_in_any_access_order():
         seed = rng.randrange(2**63)
         side = dense_sides(m1, n, seed)
         free = [v for v in range(n) if not m1.is_matched(v)]
-        # ascending free ids: every call draws the words up to its id
+        # ascending free ids
         part = random_bipartition(m1, n, seed)
         for v in free[:50]:
             assert part.side_of(v) == side[v]
@@ -393,32 +393,72 @@ def test_lazy_coins_match_dense_reference_in_any_access_order():
             assert part.side_of(v) == side[v]
 
 
-def test_coins_are_drawn_only_up_to_the_highest_id_asked():
-    m1 = Matching([(0, 5), (2, 9)])
-    part = random_bipartition(m1, 10_000, seed=3)
-    part.side_of(0)
-    part.side_of(5)
-    assert len(part._words) == 0
-    part.side_of(7)  # words 0..7, the matched ids' words among them
-    assert len(part._words) == 4 * 8
-    part.side_of(3)
-    assert len(part._words) == 4 * 8
+MASK64 = (1 << 64) - 1
 
 
-def test_ragged_coin_draws_equal_one_draw():
-    rng = random.Random(23)
-    for trial in range(30):
-        seed = rng.randrange(2**63)
-        words = rng.randrange(1, 200)
-        whole = random.Random(seed).getrandbits(32 * words).to_bytes(
-            4 * words, "little")
-        part = random_bipartition(Matching(), words, seed)
-        asked = sorted(rng.randrange(words + 1) for _ in range(5)) + [words]
-        for k in asked:
-            assert bytes(part.coins(k)[:4 * k]) == whole[:4 * k]
-        bits = random.Random(seed)
-        assert all(whole[coin_byte(i)] >> 7 == bits.getrandbits(1)
-                   for i in range(words))
+def splitmix64(state):
+    """Reference: SplitMix64 as a sequential generator, each output after
+    one step of its state."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def test_coin_is_the_top_bit_of_sequential_splitmix64():
+    for seed in (0, -1, 2**64 + 5, estimator._mix(7, 3, 12345)):
+        outputs = splitmix64(seed & MASK64)
+        for v in range(1000):
+            assert coin(seed, v) == next(outputs) >> 63
+
+
+def _within_3_sigma(hits, trials):
+    return abs(hits - trials / 2) <= 3 * math.sqrt(trials) / 2
+
+
+def test_coins_are_balanced_and_adjacent_ones_independent():
+    trials = 20_000
+    seed = estimator._mix(1, 0, 0)
+    by_id = [coin(seed, v) for v in range(trials + 1)]
+    assert _within_3_sigma(sum(by_id[:trials]), trials)
+    assert _within_3_sigma(
+        sum(a == b for a, b in zip(by_id, by_id[1:])), trials)
+    # one id over the seeds of consecutive stamps, which differ by 1
+    by_stamp = [coin(estimator._mix(1, 0, t), 5) for t in range(trials + 1)]
+    assert _within_3_sigma(sum(by_stamp[:trials]), trials)
+    assert _within_3_sigma(
+        sum(a == b for a, b in zip(by_stamp, by_stamp[1:])), trials)
+
+
+def test_a_draw_computes_one_coin_per_free_boundary_vertex(monkeypatch):
+    """No coin is computed for an id that is not a free boundary vertex,
+    so a draw's cost has no term in n or in the highest free id."""
+    calls = []
+
+    def counted(seed, v):
+        calls.append(v)
+        return coin(seed, v)
+
+    monkeypatch.setattr(streaming, "coin", counted)
+    n = 2**20
+    top = n - 1
+    m1 = Matching([(0, 1), (2, 3)])
+    # four boundary edges, all to `top`, and one edge between free ids
+    edges = [(0, 1), (2, 3), (1, top), (0, top), (top, 2), (3, top),
+             (10, 11)]
+    boundary = Boundary(edges, m1)
+    assert boundary.free == [top] and len(boundary.edges) == 4
+    for seed in range(8):
+        del calls[:]
+        draw_second_pass(boundary, random_bipartition(m1, n, seed),
+                         B_GENERAL)
+        assert calls == boundary.free
+    g = build(n, edges)
+    del calls[:]
+    estimator.general_query(g, m1, B_GENERAL, list(range(25)))
+    assert calls == boundary.free * 25
 
 
 def _estimate_matches_dense_reference(est):
@@ -445,16 +485,16 @@ def test_shared_query_estimate_matches_dense_reference(mode):
             est.insert(*e)
         return est
 
-    # edgeless graph, empty M1: no coin word is read
+    # edgeless graph, empty M1: no coin is computed
     bd = _estimate_matches_dense_reference(fresh(7))
-    assert bd.words == 0 and bd.partner == {}
+    assert bd.free == [] and bd.partner == {}
     # edges, but M1 is perfect, so the boundary is empty
     bd = _estimate_matches_dense_reference(fresh(4, [(0, 1), (2, 3), (1, 2)]))
     assert bd.edges == [] and len(bd.partner) == 4
-    # the only boundary edge reads the last coin word, that of free id 9
+    # the only boundary edge reads one coin, that of free id 9
     est = fresh(10, [(0, 1), (1, 9)])
     bd = _estimate_matches_dense_reference(est)
-    assert bd.edges == [(1, 9, coin_byte(9), 1)] and bd.words == 10
+    assert bd.edges == [(1, 9, 1)] and bd.free == [9]
     # an update that changes only the boundary: M1 stays, the served
     # values follow the new boundary
     before = est.estimate().rep_values
