@@ -377,9 +377,13 @@ CRITERIA_KEYS = ("ratio_max", "quantile", "ratio_lower")
 def summarize(result: RunResult, criteria: Optional[dict] = None) -> dict:
     """Row counts and ratio quantiles; with `criteria`, also `pass`. Raises
     InvalidParams unless `criteria` maps keys among CRITERIA_KEYS to finite
-    numbers, with quantile in (0, 1], so a misspelled gate cannot pass."""
+    numbers, with quantile in (0, 1], so a misspelled gate cannot pass. A
+    row with nu = 0 below a positive mu has no ratio and counts as outside
+    the gate; a row with mu = 0 is not gated."""
     ratios = sorted(r["ratio"] for r in result.rows
                     if r.get("ratio") is not None)
+    zero_nu = sum(r.get("ratio") is None and r.get("mu", 0) > 0
+                  for r in result.rows)
     summary: Dict[str, object] = {
         "rows": len(result.rows),
         "mode": result.meta.get("mode"),
@@ -406,10 +410,8 @@ def summarize(result: RunResult, criteria: Optional[dict] = None) -> dict:
             raise InvalidParams("quantile must be in (0, 1]")
         lower = criteria.get("ratio_lower", 1.0)
         if bound is not None:
-            if not ratios:
-                ok = False
-            else:
-                within = [r for r in ratios if lower - 1e-9 <= r <= bound + 1e-9]
-                ok = len(within) >= quantile * len(ratios)
+            gated = len(ratios) + zero_nu
+            within = sum(lower - 1e-9 <= r <= bound + 1e-9 for r in ratios)
+            ok = gated > 0 and within >= quantile * gated
         summary["pass"] = ok
     return summary

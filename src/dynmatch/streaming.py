@@ -147,9 +147,6 @@ class Bipartition:
             return "l" if v < partner else "r"
         return "r" if coin(self.seed, v) else "l"
 
-    def crosses(self, u: int, v: int) -> bool:
-        return self.side_of(u) != self.side_of(v)
-
 
 _MASK64 = (1 << 64) - 1
 
@@ -190,8 +187,8 @@ class Boundary:
         self.free: List[int] = list(seen)
 
 
-def draw_second_pass(boundary: Boundary, part: Bipartition, b: int
-                     ) -> Tuple[Dict[int, int], int]:
+def second_pass_general(boundary: Boundary, part: Bipartition, b: int
+                        ) -> Tuple[Dict[int, int], int]:
     """One bipartition draw of the general second pass: the maximal
     b-matching M2 (caps 1 matched / b free) on the boundary edges crossing
     `part`, as (mate, kappa). `mate` maps each M2-matched M1 vertex to its
@@ -226,19 +223,6 @@ def draw_second_pass(boundary: Boundary, part: Bipartition, b: int
                 and load.get(free, 0) < b):
             raise NotMaximal(f"b-matching not maximal at ({m},{free})")
     return mate, kappa
-
-
-def second_pass_general(boundary: Boundary, part: Bipartition,
-                        b: int) -> Tuple[Dict[int, int], List[Edge]]:
-    """(M2, M1_hat): M2 is `draw_second_pass`'s mate map, which with cap 1
-    on the matched side is all of M2, and M1_hat lists the M1 edges with
-    both endpoints matched in M2, in M1's partner-map order. The draw costs
-    O(|B|) whatever n is; listing M1_hat reads M1 once more, O(|M1|)."""
-    mate, _ = draw_second_pass(boundary, part, b)
-    # M1's edges in order, read from its partner map (see `Matching`)
-    m1_hat = [(u, v) for u, v in boundary.partner.items()
-              if u < v and u in mate and v in mate]
-    return mate, m1_hat
 
 
 def disjoint_augmenting_paths(M1_hat: Sequence[Edge], mate: Dict[int, int]
@@ -299,7 +283,8 @@ def general_two_pass(edges: Sequence[Edge], n: int, b: int = B_GENERAL,
     edges = list(edges)
     m1 = first_pass_matching(edges)
     part = random_bipartition(m1, n, seed)
-    m2, m1_hat = second_pass_general(Boundary(edges, m1), part, b)
+    m2, _ = second_pass_general(Boundary(edges, m1), part, b)
+    m1_hat = [(u, v) for (u, v) in m1.edges() if u in m2 and v in m2]
     # an M2 edge has exactly one M1-matched endpoint, so it is no M1 edge
     union = DynamicGraph(n)
     for (u, v) in m1.edges():

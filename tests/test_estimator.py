@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -192,9 +193,10 @@ def test_general_value_certified_at_served_sizes(mode, n, horizon):
         if mode == "tradeoff":
             m1 = combine_amm_and_alpha(m1, est.alpha_source.m)
         part = random_bipartition(m1, n, _mix(1, 0, est.g.ops))
-        mate, m1_hat = second_pass_general(
+        mate, kappa = second_pass_general(
             Boundary(list(est.g.edges()), m1), part, b)
-        assert len(m1_hat) == se.components["kappa"]
+        m1_hat = [(u, v) for (u, v) in m1.edges() if u in mate and v in mate]
+        assert len(m1_hat) == kappa == se.components["kappa"]
         paths = disjoint_augmenting_paths(m1_hat, mate)
         hosts = {(min(u, v), max(u, v)) for (_, u, v, _) in paths}
         augmented = Matching(e for e in m1.edges() if e not in hosts)
@@ -206,6 +208,44 @@ def test_general_value_certified_at_served_sizes(mode, n, horizon):
         assert se.nu <= len(augmented)
         augmented_at += bool(paths)
     assert augmented_at > 0
+
+
+def _blossom_mu(g):
+    """Exact mu of any graph: networkx's blossom on each component."""
+    gx = nx.Graph(list(g.edges()))
+    return sum(len(nx.max_weight_matching(gx.subgraph(c),
+                                          maxcardinality=True))
+               for c in nx.connected_components(gx))
+
+
+@pytest.mark.parametrize("mode,workload,bound", [
+    ("bipartite", "random-bipartite", 1 + 1 / math.sqrt(2) + 0.3),
+    ("general", "random-er", 1.973 + 0.3),
+    ("tradeoff", "random-er", estimator.BETA),
+], ids=["bipartite", "general", "tradeoff"])
+def test_sandwich_at_8192_under_churn(mode, workload, bound):
+    """nu <= mu <= bound * nu at every estimate of a churn stream at
+    n = 8192: about 1,000 live edges, then 2,000 updates half of them
+    deletions, with mu exact from Hopcroft-Karp in bipartite mode and
+    blossom per component otherwise."""
+    n, live = 8192, 1000
+    pairs = (n // 2) ** 2 if mode == "bipartite" else n * (n - 1) // 2
+    events = generate_workload(workload, n, seed=20, horizon=3000,
+                               density=(live + 0.5) / pairs,
+                               query_every=100)
+    assert sum(ev.kind == "d" for ev in events) >= 900
+    est = Estimator(n, EstimatorConfig(mode=mode, eps=0.3, seed=20, reps=5))
+    checked = 0
+    for ev in events:
+        if ev.kind != "q":
+            est.apply(ev)
+            continue
+        nu = est.estimate().nu
+        mu = (oracles.max_matching_size(est.g) if mode == "bipartite"
+              else _blossom_mu(est.g))
+        assert nu <= mu <= bound * nu, (est.g.ops, nu, mu)
+        checked += 1
+    assert checked == 30
 
 
 def test_combiner_examples():

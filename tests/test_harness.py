@@ -282,6 +282,23 @@ def test_summarize_rules():
     assert s["rows"] == 5 and s["rows_without_mu"] == 1
 
 
+def test_summarize_counts_a_zero_estimate_outside_the_gate():
+    """`run_stream` writes no ratio when nu = 0; below a positive mu such a
+    row is an unbounded ratio, so it fails even a quantile-1 gate."""
+    meta = {"type": "meta", "mode": "general"}
+    rows = [{"type": "row", "t": i, "nu": 10.0, "mu": 11, "ratio": 1.1}
+            for i in range(99)]
+    gate = {"ratio_max": 1.973, "quantile": 1.0}
+    empty = {"type": "row", "t": 99, "nu": 0.0, "mu": 0, "ratio": None}
+    assert summarize(RunResult(meta=meta, rows=rows + [empty]), gate)["pass"]
+    zero = {"type": "row", "t": 99, "nu": 0.0, "mu": 12, "ratio": None}
+    s = summarize(RunResult(meta=meta, rows=rows + [zero]), gate)
+    assert not s["pass"] and s["ratio_max"] == 1.1
+    # alone, it fails any gate, as a report with no ratio does
+    assert not summarize(RunResult(meta=meta, rows=[zero]),
+                         {"ratio_max": 1.973})["pass"]
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     stream = str(tmp_path / "s.txt")
     report = str(tmp_path / "r.json")
