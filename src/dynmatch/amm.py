@@ -1,24 +1,25 @@
 """Robust maintenance of an approximately-maximal matching.
 
 The paper's kernel pipeline is kept as a library with its validators: a
-validated approximately-maximal fractional matching (AMfM) -> level-wise edge
-coloring and color sampling -> bounded-degree kernel -> static matching
-extraction with an explicit removal witness. With the provider's degree bound
-d every level's sample covers its whole palette, so that kernel is every live
-edge ordered by level. The maintainer rebuilds, at every matching size, with
-one greedy pass over the live edges in that order (`level_ordered_edges`),
-without running the pipeline: the greedy pass alone makes the matching
-maximal in the live graph, so it needs neither the extraction's max-weight
-step over high-degree vertices nor its witness. An eager repair rule keeps
-the live matching exactly maximal between the periodic rebuilds.
+validated approximately-maximal fractional matching (AMfM) -> value-level
+sparsification -> bounded-degree kernel -> static matching extraction with an
+explicit removal witness. The paper's sparsifier samples colour classes at
+each level; under the provider's degree bound d every sample would cover its
+level's whole palette, so `edge_color_and_sparsify` takes every level
+wholesale and the kernel is every live edge ordered by level. The maintainer
+rebuilds, at every matching size, with one greedy pass over the live edges
+in that order (`level_ordered_edges`), without running the pipeline: the
+greedy pass alone makes the matching maximal in the live graph, so it needs
+neither the extraction's max-weight step over high-degree vertices nor its
+witness. An eager repair rule keeps the live matching exactly maximal
+between the periodic rebuilds.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 import networkx as nx
 
@@ -88,8 +89,10 @@ def required_degree_bound(n: int, c: float, eps: float) -> int:
 def provider_degree_bound(g: DynamicGraph, eps: float) -> int:
     """The provider's default d: the analysis bound at c = 1 + 2*eps,
     floored at max-degree+1, capped at n-1 (for n >= 3), and at least 2.
-    It is never below the maximum degree, so every level's color sample in
-    `edge_color_and_sparsify` covers the level's whole palette."""
+    It is never below the maximum degree, so the whole graph, the kernel
+    `edge_color_and_sparsify` builds by taking every level wholesale, passes
+    `validate_kernel`'s degree bound; the paper's colour sampling would keep
+    every colour class at this d."""
     n = g.n
     max_deg = max(map(len, g.adj), default=0)
     d = max(required_degree_bound(n, 1.0 + 2.0 * eps, eps), max_deg + 1)
@@ -103,18 +106,15 @@ def spread_value(g: DynamicGraph, e: Edge) -> float:
     return 1.0 / max(g.degree(e[0]), g.degree(e[1]))
 
 
-def fractional_provider(g: DynamicGraph, eps: float,
-                        d: Optional[int] = None) -> AMfM:
+def fractional_provider(g: DynamicGraph, eps: float) -> AMfM:
     """Default provider: degree-proportional spread x_e = 1/max(deg u, deg v).
 
     Feasible (each vertex's sum is at most 1) and approximately maximal: an
     edge whose larger endpoint degree is below d is heavy; otherwise that
     endpoint has all incident values <= 1/d and fractional degree close to 1.
-    d defaults to `provider_degree_bound`. Output is validated, never
-    assumed.
+    d is `provider_degree_bound`. Output is validated, never assumed.
     """
-    if d is None:
-        d = provider_degree_bound(g, eps)
+    d = provider_degree_bound(g, eps)
     x = FractionalMatching()
     for e in g.edges():
         x.set_value(*e, spread_value(g, e))
@@ -169,70 +169,31 @@ def level_of(xe: float, eps: float) -> int:
     return max(1, math.floor(-math.log(xe) / math.log1p(eps) + 1e-12) + 1)
 
 
-def greedy_level_coloring(edges: List[Edge], palette: int) -> Dict[Edge, int]:
-    """First-free proper edge coloring within one level."""
-    used: Dict[int, Set[int]] = {}
-    coloring: Dict[Edge, int] = {}
-    for (u, v) in edges:
-        taken = used.setdefault(u, set()) | used.setdefault(v, set())
-        for color in range(palette):
-            if color not in taken:
-                coloring[(u, v)] = color
-                used[u].add(color)
-                used[v].add(color)
-                break
-        else:
-            raise KernelValidationFailed(
-                f"palette {palette} exhausted within a level")
-    return coloring
+def edge_color_and_sparsify(g: DynamicGraph, amfm: AMfM, eps: float) -> Kernel:
+    """The AMfM's edges by value level, every level taken wholesale.
 
-
-def edge_color_and_sparsify(g: DynamicGraph, amfm: AMfM, eps: float,
-                            d: Optional[int] = None, seed: int = 0) -> Kernel:
-    """Union of sampled color classes across the value levels of the AMfM.
-
-    Levels partition edges by x-value ranges; each level gets a palette of
-    2*ceil((1+eps)^i) colors of which min(2*ceil(d(1+eps)), palette) are
-    sampled without replacement. When the sample covers the whole palette the
-    coloring is irrelevant and the level is taken wholesale. Resamples with a
-    fresh seed up to 3 times if the validator rejects.
+    Levels partition edges by x-value ranges (`level_of`). The paper keeps a
+    sample of each level's colour classes; at the provider's d the sample
+    covers the whole palette, so the kernel is every level in full, in
+    ascending level order and in the AMfM's order within a level. Output is
+    validated, never assumed: raises KernelValidationFailed when a kernel
+    degree exceeds amfm.d.
     """
-    if d is None:
-        d = amfm.d
-    n = g.n
-    max_level = math.ceil(2 * math.log(max(n, 2) / eps) / math.log1p(eps))
     levels: Dict[int, List[Edge]] = {}
     for e, xe in amfm.x.x.items():
-        i = level_of(xe, eps)
-        if i <= max_level:
-            levels.setdefault(i, []).append(e)
-    sample_cap = 2 * math.ceil(d * (1 + eps))
-    last_error = None
-    for attempt in range(3):
-        rng = random.Random((seed << 2) | attempt)
-        kernel_edges: List[Edge] = []
-        for i in sorted(levels):
-            palette = 2 * math.ceil((1 + eps) ** i)
-            count = min(sample_cap, palette)
-            if count >= palette:
-                kernel_edges.extend(levels[i])
-                continue
-            coloring = greedy_level_coloring(levels[i], palette)
-            chosen = set(rng.sample(range(palette), count))
-            kernel_edges.extend(e for e, c in coloring.items() if c in chosen)
-        kern = Kernel(edges=kernel_edges, d=d, eps=eps)
-        report = validate_kernel(g, kern)
-        if report["ok"]:
-            return kern
-        last_error = report["violation"]
-    raise KernelValidationFailed(last_error or "kernel resampling failed")
+        levels.setdefault(level_of(xe, eps), []).append(e)
+    kern = Kernel(edges=[e for i in sorted(levels) for e in levels[i]],
+                  d=amfm.d, eps=eps)
+    report = validate_kernel(g, kern)
+    if not report["ok"]:
+        raise KernelValidationFailed(report["violation"])
+    return kern
 
 
 def level_ordered_edges(g: DynamicGraph, eps: float) -> List[Edge]:
     """The edges of the kernel `edge_color_and_sparsify` returns for
     `fractional_provider`'s AMfM, in its order, built straight from the live
-    graph. Under `provider_degree_bound` every level is taken wholesale, so
-    that kernel is every edge ordered by the level of its spread value,
+    graph: every edge ordered by the level of its spread value,
     ascending, in insertion order within a level. The level depends only on
     d = max(deg u, deg v), so it is computed once per distinct d, and one
     pass over the edges buckets them by level."""

@@ -350,6 +350,12 @@ def read_report(path: str) -> RunResult:
                 if not isinstance(t, int) or isinstance(t, bool):
                     raise MalformedReport(f"line {lineno}: row without an "
                                           "integer update index t")
+                for key in ("nu", "mu", "ratio"):
+                    val = obj.get(key)
+                    if val is not None and (not isinstance(val, (int, float))
+                                            or isinstance(val, bool)):
+                        raise MalformedReport(f"line {lineno}: {key} is "
+                                              "neither a number nor null")
                 rows.append(obj)
             else:
                 raise MalformedReport(f"line {lineno}: unknown record type")
@@ -382,13 +388,13 @@ def summarize(result: RunResult, criteria: Optional[dict] = None) -> dict:
     the gate; a row with mu = 0 is not gated."""
     ratios = sorted(r["ratio"] for r in result.rows
                     if r.get("ratio") is not None)
-    zero_nu = sum(r.get("ratio") is None and r.get("mu", 0) > 0
+    zero_nu = sum(r.get("ratio") is None and (r.get("mu") or 0) > 0
                   for r in result.rows)
     summary: Dict[str, object] = {
         "rows": len(result.rows),
         "mode": result.meta.get("mode"),
         # rows past the oracle's size range, or off the oracle cadence
-        "rows_without_mu": sum("mu" not in r for r in result.rows),
+        "rows_without_mu": sum(r.get("mu") is None for r in result.rows),
     }
     if ratios:
         summary["ratio_min"] = ratios[0]

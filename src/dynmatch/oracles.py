@@ -1,8 +1,9 @@
 """Exact and exhaustive reference algorithms.
 
-Ground truth for tests and acceptance runs; never on the estimation hot path.
-All functions are pure in their inputs; rank-driven ones are deterministic
-given the seed.
+Ground truth for tests and acceptance runs. One of them serves estimates:
+`bipartition` 2-colours the live graph in every bipartite-mode query whose
+mix exceeds |M1|, to certify that mix. All functions are pure in their
+inputs; rank-driven ones are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -129,20 +130,33 @@ def _hopcroft_karp(g: DynamicGraph, color: List[int]) -> Matching:
         dist["_t"] = found
         return found != INF
 
-    def dfs(u: int) -> bool:
-        for w in g.neighbors(u):
-            nxt = pair_r.get(w)
-            if nxt is None:
-                if dist["_t"] == dist[u] + 1:
-                    pair_l[u] = w
-                    pair_r[w] = u
-                    return True
-            elif dist.get(nxt, INF) == dist[u] + 1:
-                if dfs(nxt):
-                    pair_l[u] = w
-                    pair_r[w] = u
-                    return True
-        dist[u] = INF
+    def dfs(root: int) -> bool:
+        """One augmenting path from root along the BFS layers, searched
+        depth-first with an explicit stack: an augmenting path can be as
+        long as the graph, past Python's recursion limit. A stack entry is
+        (left vertex, its neighbour iterator, the right vertex it was
+        reached through); a dead end's layer is set to INF."""
+        stack = [(root, g.neighbors(root), None)]
+        while stack:
+            u, it, _ = stack[-1]
+            layer = dist[u] + 1
+            for w in it:
+                nxt = pair_r.get(w)
+                if nxt is None:
+                    if dist["_t"] == layer:
+                        # flip the path, deepest edge first
+                        while stack:
+                            u, _, via = stack.pop()
+                            pair_l[u] = w
+                            pair_r[w] = u
+                            w = via
+                        return True
+                elif dist.get(nxt, INF) == layer:
+                    stack.append((nxt, g.neighbors(nxt), w))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
         return False
 
     while bfs():

@@ -9,7 +9,7 @@ from dynmatch import oracles
 from dynmatch.amm import (AMfM, AMMMaintainer, DynamicMaximalMatching, Kernel,
                           KernelValidationFailed, ValidationFailed,
                           edge_color_and_sparsify, fractional_provider,
-                          greedy_level_coloring, high_degree_nodes, level_of,
+                          high_degree_nodes, level_of,
                           level_ordered_edges, provider_degree_bound,
                           required_degree_bound, static_amm_from_kernel,
                           validate_amfm, validate_kernel)
@@ -69,15 +69,30 @@ def test_degree_bound_formula():
         math.ceil(9 * c * 1.2**2 * math.log(100) / 0.04)
 
 
-def test_level_assignment_and_coloring():
+def test_level_assignment():
     assert level_of(1.0, 0.2) == 1
     assert level_of(0.9, 0.2) == 1
     x = 1.2**-3 * 0.999
     assert level_of(x, 0.2) == 4
-    coloring = greedy_level_coloring([(0, 1), (1, 2), (0, 2)], 3)
-    assert set(coloring.values()) == {0, 1, 2}
+
+
+def test_sparsify_takes_levels_wholesale_and_rejects_degree_above_d():
+    # levels ascend, each in the AMfM's order: x = 0.5 is level 4 at eps
+    # 0.2, x = 1.0 level 1
+    g = build(6, [(0, 1), (2, 3), (4, 5)])
+    x = FractionalMatching()
+    x.set_value(0, 1, 0.5)
+    x.set_value(2, 3, 1.0)
+    x.set_value(4, 5, 0.5)
+    kern = edge_color_and_sparsify(g, AMfM(x=x, c=1.4, d=2), 0.2)
+    assert kern.edges == [(2, 3), (0, 1), (4, 5)]
+    # a star's centre has kernel degree 5 > d = 2
+    star = build(6, [(0, i) for i in range(1, 6)])
+    x = FractionalMatching()
+    for e in star.edges():
+        x.set_value(*e, 0.2)
     with pytest.raises(KernelValidationFailed):
-        greedy_level_coloring([(0, 1), (1, 2), (0, 2)], 2)
+        edge_color_and_sparsify(star, AMfM(x=x, c=1.4, d=2), 0.2)
 
 
 def test_sparsify_perfect_matching_support():
@@ -86,7 +101,7 @@ def test_sparsify_perfect_matching_support():
     for e in g.edges():
         x.set_value(*e, 0.8)
     amfm = AMfM(x=x, c=1.4, d=10)
-    kern = edge_color_and_sparsify(g, amfm, 0.2, seed=1)
+    kern = edge_color_and_sparsify(g, amfm, 0.2)
     assert sorted(kern.edges) == sorted(g.edges())
     assert max(kern.degrees.values()) == 1
 
@@ -94,11 +109,11 @@ def test_sparsify_perfect_matching_support():
 def test_sparsify_empty_and_triangle():
     g = build(3, [])
     amfm = AMfM(x=FractionalMatching(), c=1.4, d=5)
-    kern = edge_color_and_sparsify(g, amfm, 0.2, seed=0)
+    kern = edge_color_and_sparsify(g, amfm, 0.2)
     assert kern.edges == [] and validate_kernel(g, kern)["ok"]
     tri = build(3, [(0, 1), (1, 2), (0, 2)])
     amfm = fractional_provider(tri, 0.2)
-    kern = edge_color_and_sparsify(tri, amfm, 0.2, seed=2)
+    kern = edge_color_and_sparsify(tri, amfm, 0.2)
     assert validate_kernel(tri, kern)["ok"]
     assert max(kern.degrees.values()) <= amfm.d
 
@@ -142,7 +157,7 @@ def test_high_degree_set_small_and_kernel_edge_bound():
                     g.insert(u, v)
         eps = 0.2
         amfm = fractional_provider(g, eps)
-        kern = edge_color_and_sparsify(g, amfm, eps, seed=trial)
+        kern = edge_color_and_sparsify(g, amfm, eps)
         assert validate_kernel(g, kern)["ok"]
         mu = oracles.max_matching_size(g)
         assert len(high_degree_nodes(kern)) <= 4 * mu

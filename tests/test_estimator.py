@@ -97,13 +97,17 @@ def test_contraction_retains_matching_at_matching_scale():
 
 
 def test_family_routing_and_audit():
-    g = DynamicGraph(50)
-    fam = ContractionFamily(50, 0.2, seed=1)
+    # at n = 200 the bucket counts of scales 1 and 2 stay below n, so their
+    # members materialize and every update is routed to them
+    n = 200
+    g = DynamicGraph(n)
+    fam = ContractionFamily(n, 0.2, seed=1)
     g.register(fam)
+    assert sorted({mem.scale for mem in fam.members}) == [1, 2]
     rng = random.Random(0)
     live = set()
     for _ in range(300):
-        u, v = rng.randrange(50), rng.randrange(50)
+        u, v = rng.randrange(n), rng.randrange(n)
         e = (min(u, v), max(u, v))
         if u == v:
             continue
@@ -115,7 +119,12 @@ def test_family_routing_and_audit():
             g.insert(*e)
     assert fam.audit(g)
     for mem in fam.members:
+        assert mem.cg.m > 0
         assert validate(mem.cg, mem.matcher.m)["ok"]
+    # one wrong preimage multiplicity fails the audit
+    pre = fam.members[0].pre
+    pre[next(iter(pre))] += 1
+    assert not fam.audit(g)
 
 
 def test_bipartite_query_examples():
@@ -246,6 +255,53 @@ def test_sandwich_at_8192_under_churn(mode, workload, bound):
         assert nu <= mu <= bound * nu, (est.g.ops, nu, mu)
         checked += 1
     assert checked == 30
+
+
+@pytest.mark.parametrize("mode,bound", [
+    ("bipartite", 1 + 1 / math.sqrt(2) + 0.2),
+    ("general", 1.973 + 0.2),
+    ("tradeoff", estimator.BETA),
+], ids=["bipartite", "general", "tradeoff"])
+def test_planted_three_paths_the_second_pass_decides(mode, bound):
+    """k disjoint paths x-u-v-y with the middle edges inserted first, so M1
+    is the k middles, |M1| = mu/2, and only the second pass can lift nu
+    above |M1|. Checked on the full instance and under 3,000 pendant
+    toggles, with an estimate every 100: nu <= mu <= bound * nu and
+    nu > |M1| at every checkpoint. Every component is a path, so
+    Hopcroft-Karp gives mu exactly in every mode."""
+    k = 1000
+    est = Estimator(4 * k, EstimatorConfig(mode=mode, eps=0.2, seed=3,
+                                           reps=5))
+    for j in range(k):
+        est.insert(4 * j + 1, 4 * j + 2)
+    for j in range(k):
+        est.insert(4 * j, 4 * j + 1)
+        est.insert(4 * j + 2, 4 * j + 3)
+
+    def check():
+        se = est.estimate()
+        mu = oracles.max_matching_size(est.g)
+        assert se.nu <= mu <= bound * se.nu, (est.g.ops, se.nu, mu)
+        assert se.nu > se.components["m1"], (est.g.ops, se.nu)
+        return se, mu
+
+    se, mu = check()
+    assert se.components["m1"] == k and mu == 2 * k
+    if mode == "bipartite":
+        # each middle endpoint takes its full cap of M2 copies to its
+        # pendant: nu = (1 + delta)|M1|, and mu/nu = 2/(1 + delta) = sqrt 2
+        assert se.nu == pytest.approx((1 + DELTA) * k, rel=1e-9)
+        assert mu / se.nu == pytest.approx(math.sqrt(2), rel=1e-9)
+    rng = random.Random(3)
+    for step in range(1, 3001):
+        j, side = rng.randrange(k), rng.randrange(2)
+        e = (4 * j + 2 * side, 4 * j + 2 * side + 1)
+        if est.g.edge_exists(*e):
+            est.delete(*e)
+        else:
+            est.insert(*e)
+        if step % 100 == 0:
+            assert check()[0].components["m1"] == k
 
 
 def test_combiner_examples():

@@ -259,6 +259,18 @@ def test_malformed_reports_rejected(tmp_path):
             fh.write(meta + "\n" + json.dumps(row) + "\n")
         with pytest.raises(MalformedReport):
             read_report(p)  # row without an integer update index
+    # nu, mu and ratio, where present, are numbers (not bools) or null
+    ok = {"type": "row", "t": 1, "nu": 1.0, "mu": 1, "ratio": 1.0}
+    for key, bad in (("ratio", "1.0"), ("mu", "12"), ("nu", "x"),
+                     ("nu", True), ("mu", [1])):
+        with open(p, "w") as fh:
+            fh.write(meta + "\n" + json.dumps(dict(ok, **{key: bad})) + "\n")
+        with pytest.raises(MalformedReport, match=f"line 2: {key} "):
+            read_report(p)
+    with open(p, "w") as fh:
+        fh.write(meta + "\n" + json.dumps(dict(ok, mu=None, ratio=None))
+                 + "\n")
+    assert summarize(read_report(p))["rows_without_mu"] == 1
 
 
 def test_summarize_rules():
@@ -387,6 +399,7 @@ CRITERIA = {
     ["run", "--stream", "{d}/missing.txt", "--eps", "0.2"] + RUN_ARGS,
     ["run", "--stream", "{d}/far.txt", "--eps", "0.2"] + RUN_ARGS,
     ["summarize", "--report", "{d}/no_t.json"],
+    ["summarize", "--report", "{d}/string_ratio.json"],
     ["run", "--stream", "{d}/word.txt", "--eps", "0.2"] + RUN_ARGS,
     ["gen", "--workload", "adaptive-adversary", "--n", "10",
      "--out", "{d}/x.txt"],
@@ -394,6 +407,7 @@ CRITERIA = {
       "{d}/" + name] for name in CRITERIA],
     ids=["gen-density", "run-eps", "run-missing-stream",
          "run-vertex-out-of-range", "summarize-row-without-t",
+         "summarize-string-ratio",
          "run-non-integer-vertex", "gen-adaptive-without-reads"]
     + ["criteria-" + name[:-5] for name in CRITERIA])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv):
@@ -403,6 +417,9 @@ def test_cli_input_errors_exit_2(tmp_path, capsys, argv):
     (tmp_path / "word.txt").write_text("i 1 x\nq\n")
     (tmp_path / "no_t.json").write_text(
         '{"type": "meta"}\n{"type": "row", "nu": 1.0}\n')
+    (tmp_path / "string_ratio.json").write_text(
+        '{"type": "meta"}\n'
+        '{"type": "row", "t": 1, "nu": 1.0, "mu": 1, "ratio": "1.0"}\n')
     (tmp_path / "ok.json").write_text(
         '{"type": "meta"}\n'
         '{"type": "row", "t": 1, "nu": 1.0, "mu": 1, "ratio": 1.0}\n')

@@ -55,6 +55,19 @@ def test_bipartite_route_matches_general_route():
         assert len(m) == size
 
 
+def test_bipartite_route_on_long_shuffled_paths():
+    # with shuffled ids an augmenting path can run through thousands of
+    # layers; the search must not recurse once per layer
+    n = 5000
+    for seed in range(5):
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        g = build(n, zip(perm, perm[1:]))
+        size, m = max_matching_exact(g)
+        assert size == len(m) == n // 2
+        assert all(g.edge_exists(u, v) for (u, v) in m.edges())
+
+
 def test_bipartition_detects_odd_cycle():
     assert bipartition(build(3, [(0, 1), (1, 2), (0, 2)])) is None
     color = bipartition(build(4, PATH4))
