@@ -5,15 +5,15 @@ bipartite graphs and ~1.973 + eps in general, via approximately-maximal
 matchings and two-pass augmentation counting over the live graph.
 """
 
-from .graph import (BMatching, DynamicGraph, FractionalMatching, Matching,
-                    UpdateEvent, norm_edge, read_stream, write_stream)
+from .graph import (BMatching, DynamicGraph, Matching, UpdateEvent,
+                    norm_edge, read_stream, write_stream)
 from .estimator import (Estimator, EstimatorConfig, SizeEstimate,
                         bipartite_query, combine_amm_and_alpha, general_query)
 from .streaming import bipartite_two_pass, general_two_pass
 
 __all__ = [
-    "BMatching", "DynamicGraph", "FractionalMatching", "Matching",
-    "UpdateEvent", "norm_edge", "read_stream", "write_stream",
+    "BMatching", "DynamicGraph", "Matching", "UpdateEvent", "norm_edge",
+    "read_stream", "write_stream",
     "Estimator", "EstimatorConfig", "SizeEstimate", "bipartite_query",
     "combine_amm_and_alpha", "general_query", "bipartite_two_pass",
     "general_two_pass",

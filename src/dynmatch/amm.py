@@ -1,9 +1,11 @@
 """Robust maintenance of an approximately-maximal matching.
 
-The paper's kernel pipeline is kept as a library with its validators: a
-validated approximately-maximal fractional matching (AMfM) -> value-level
-sparsification -> bounded-degree kernel -> static matching extraction with an
-explicit removal witness. The paper's sparsifier samples colour classes at
+The paper's kernel pipeline is kept as a library, with one validator per
+object: an approximately-maximal fractional matching (AMfM, a plain
+edge -> value map that `validate_amfm` checks for feasibility and
+approximate maximality) -> value-level sparsification -> bounded-degree
+kernel (`validate_kernel`) -> static matching extraction with an explicit
+removal witness. The paper's sparsifier samples colour classes at
 each level; under the provider's degree bound d every sample would cover its
 level's whole palette, so `edge_color_and_sparsify` takes every level
 wholesale and the kernel is every live edge ordered by level. The maintainer
@@ -23,8 +25,8 @@ from typing import Dict, List, Set
 
 import networkx as nx
 
-from .graph import (DynamicGraph, Edge, FractionalMatching, Matching,
-                    UpdateEvent, first_pass_matching, norm_edge)
+from .graph import (DynamicGraph, Edge, Matching, UpdateEvent,
+                    first_pass_matching, norm_edge)
 
 
 class ValidationFailed(Exception):
@@ -40,11 +42,12 @@ class KernelValidationFailed(Exception):
 
 @dataclass
 class AMfM:
-    """Fractional matching with the approximate-maximality certificate
-    parameters (c, d): every edge has x_e > 1/d, or an endpoint of fractional
-    degree >= 1/c all of whose incident values are <= 1/d."""
+    """Fractional matching x, a map from edges (min, max) to their values,
+    with the approximate-maximality certificate parameters (c, d): every
+    edge has x_e > 1/d, or an endpoint of fractional degree >= 1/c all of
+    whose incident values are <= 1/d."""
 
-    x: FractionalMatching
+    x: Dict[Edge, float]
     c: float
     d: int
 
@@ -52,19 +55,35 @@ class AMfM:
 _TOL = 1e-9
 
 
+def _is_edge(g: DynamicGraph, u: int, v: int) -> bool:
+    """Whether (u, v) with u < v is an edge of g; ids outside [0, n) are
+    not, and raise nothing."""
+    return 0 <= u < v < g.n and v in g.adj[u]
+
+
 def validate_amfm(g: DynamicGraph, amfm: AMfM) -> dict:
-    """Literal check of the defining property over every edge of g."""
+    """Feasibility, then a literal check of the defining property over every
+    edge of g. Feasible: every value is nonnegative and on an edge of g, and
+    every fractional degree is at most 1."""
     x = amfm.x
     fdeg: Dict[int, float] = {}
     maxx: Dict[int, float] = {}
-    for (u, v), xe in x.x.items():
+    for (u, v), xe in x.items():
+        if not xe >= 0:
+            return {"ok": False, "violation": f"value {xe} on ({u},{v})"}
+        if not _is_edge(g, u, v):
+            return {"ok": False,
+                    "violation": f"({u},{v}) is not an edge (min, max) of g"}
         for w in (u, v):
-            fdeg[w] = fdeg.get(w, 0.0) + xe
+            s = fdeg[w] = fdeg.get(w, 0.0) + xe
+            if s > 1.0 + _TOL:
+                return {"ok": False,
+                        "violation": f"fractional degree {s} > 1 at {w}"}
             maxx[w] = max(maxx.get(w, 0.0), xe)
     inv_d = 1.0 / amfm.d
     inv_c = 1.0 / amfm.c
     for (u, v) in g.edges():
-        xe = x.x.get(norm_edge(u, v), 0.0)
+        xe = x.get((u, v), 0.0)
         if xe > inv_d + _TOL:
             continue
         ok = False
@@ -101,23 +120,19 @@ def provider_degree_bound(g: DynamicGraph, eps: float) -> int:
     return max(d, 2)
 
 
-def spread_value(g: DynamicGraph, e: Edge) -> float:
-    """The provider's value on edge e: 1/max(deg u, deg v)."""
-    return 1.0 / max(g.degree(e[0]), g.degree(e[1]))
-
-
 def fractional_provider(g: DynamicGraph, eps: float) -> AMfM:
     """Default provider: degree-proportional spread x_e = 1/max(deg u, deg v).
 
     Feasible (each vertex's sum is at most 1) and approximately maximal: an
     edge whose larger endpoint degree is below d is heavy; otherwise that
     endpoint has all incident values <= 1/d and fractional degree close to 1.
-    d is `provider_degree_bound`. Output is validated, never assumed.
+    d is `provider_degree_bound`. x has every edge of g, in g's edge order.
+    Output is validated by `validate_amfm`, feasibility included, never
+    assumed.
     """
     d = provider_degree_bound(g, eps)
-    x = FractionalMatching()
-    for e in g.edges():
-        x.set_value(*e, spread_value(g, e))
+    adj = g.adj
+    x = {e: 1.0 / max(len(adj[e[0]]), len(adj[e[1]])) for e in g.edges()}
     amfm = AMfM(x=x, c=1.0 + 2.0 * eps, d=d)
     report = validate_amfm(g, amfm)
     if not report["ok"]:
@@ -152,10 +167,16 @@ def validate_kernel(g: DynamicGraph, k: Kernel) -> dict:
     for v, dv in k.degrees.items():
         if dv > k.d:
             return {"ok": False, "violation": f"kernel degree {dv} > {k.d} at {v}"}
-    kernel_set = {norm_edge(u, v) for (u, v) in k.edges}
+    kernel_set = set()
+    for (u, v) in k.edges:
+        e = norm_edge(u, v)
+        if not _is_edge(g, *e):
+            return {"ok": False,
+                    "violation": f"kernel edge ({u},{v}) is not in g"}
+        kernel_set.add(e)
     threshold = k.d * (1.0 - k.eps)
     for (u, v) in g.edges():
-        if norm_edge(u, v) in kernel_set:
+        if (u, v) in kernel_set:
             continue
         if k.degree(u) < threshold and k.degree(v) < threshold:
             return {"ok": False,
@@ -180,7 +201,7 @@ def edge_color_and_sparsify(g: DynamicGraph, amfm: AMfM, eps: float) -> Kernel:
     degree exceeds amfm.d.
     """
     levels: Dict[int, List[Edge]] = {}
-    for e, xe in amfm.x.x.items():
+    for e, xe in amfm.x.items():
         levels.setdefault(level_of(xe, eps), []).append(e)
     kern = Kernel(edges=[e for i in sorted(levels) for e in levels[i]],
                   d=amfm.d, eps=eps)
@@ -206,7 +227,7 @@ def level_ordered_edges(g: DynamicGraph, eps: float) -> List[Edge]:
         d = du if du > dv else dv
         bucket = bucket_of.get(d)
         if bucket is None:
-            # 1.0 / d is the float `spread_value` gives
+            # 1.0 / d is the float `fractional_provider` gives
             bucket = bucket_of[d] = levels.setdefault(
                 level_of(1.0 / d, eps), [])
         bucket.append(e)

@@ -1,8 +1,9 @@
 """Dynamic graph storage, update events, and solution-object validation.
 
 The graph is the single source of truth under edge insertions/deletions.
-Solution containers (Matching, BMatching, FractionalMatching) carry enough
-state to be validated independently against a graph.
+Solution containers (Matching, BMatching) carry enough state to be validated
+independently against a graph; an approximately-maximal fractional matching
+is a plain edge->value map, validated by `amm.validate_amfm`.
 
 All iteration surfaces (edges, adjacency) follow insertion order, so a fixed
 update stream yields fully deterministic downstream behavior.
@@ -65,8 +66,8 @@ class DynamicGraph:
     """
 
     def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count {n!r} is not an int >= 0")
         self.n = n
         self._edges: Dict[Edge, None] = {}
         self.adj: List[Dict[int, None]] = [dict() for _ in range(n)]
@@ -235,30 +236,10 @@ class BMatching:
                 raise NotMaximal(f"b-matching not maximal at ({u},{v})")
 
 
-class FractionalMatching:
-    """Nonnegative edge values; `validate` checks fractional degree <= 1."""
-
-    def __init__(self):
-        self.x: Dict[Edge, float] = {}
-
-    def set_value(self, u: int, v: int, value: float) -> None:
-        if value < 0:
-            raise ValueError("negative fractional value")
-        e = norm_edge(u, v)
-        if value == 0.0:
-            self.x.pop(e, None)
-        else:
-            self.x[e] = value
-
-    def value(self) -> float:
-        return sum(self.x.values())
-
-
 def validate(g: DynamicGraph, sol) -> dict:
     """Check a solution object against its invariants and the host graph.
 
-    Returns {"ok": True, ...} or {"ok": False, "violation": <first failure>}.
-    For fractional matchings the total value is included either way.
+    Returns {"ok": True} or {"ok": False, "violation": <first failure>}.
     """
     if isinstance(sol, Matching):
         seen: Dict[int, Edge] = {}
@@ -290,24 +271,6 @@ def validate(g: DynamicGraph, sol) -> dict:
             if sol.load.get(v, 0) != used:
                 return {"ok": False, "violation": f"load cache stale at {v}"}
         return {"ok": True}
-    if isinstance(sol, FractionalMatching):
-        fdeg: Dict[int, float] = {}
-        total = 0.0
-        for (u, v), xe in sol.x.items():
-            if not g.edge_exists(u, v):
-                return {"ok": False, "violation": f"edge ({u},{v}) missing from graph",
-                        "value": sol.value()}
-            if xe < 0:
-                return {"ok": False, "violation": f"negative value on ({u},{v})",
-                        "value": sol.value()}
-            fdeg[u] = fdeg.get(u, 0.0) + xe
-            fdeg[v] = fdeg.get(v, 0.0) + xe
-            total += xe
-        for v, s in fdeg.items():
-            if s > 1.0 + 1e-9:
-                return {"ok": False, "violation": f"fractional degree > 1 at {v}",
-                        "value": total}
-        return {"ok": True, "value": total}
     raise TypeError(f"cannot validate object of type {type(sol)!r}")
 
 

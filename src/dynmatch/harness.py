@@ -352,10 +352,12 @@ def read_report(path: str) -> RunResult:
                                           "integer update index t")
                 for key in ("nu", "mu", "ratio"):
                     val = obj.get(key)
-                    if val is not None and (not isinstance(val, (int, float))
-                                            or isinstance(val, bool)):
+                    # json reads NaN and Infinity; a row's numbers are finite
+                    if val is not None and (type(val) not in (int, float)
+                                            or not math.isfinite(val)):
                         raise MalformedReport(f"line {lineno}: {key} is "
-                                              "neither a number nor null")
+                                              "neither a finite number nor "
+                                              "null")
                 rows.append(obj)
             else:
                 raise MalformedReport(f"line {lineno}: unknown record type")

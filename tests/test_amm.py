@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from dynmatch.graph import (DynamicGraph, FractionalMatching,
-                            first_pass_matching)
+from dynmatch.graph import DynamicGraph, first_pass_matching
 from dynmatch import oracles
 from dynmatch.amm import (AMfM, AMMMaintainer, DynamicMaximalMatching, Kernel,
                           KernelValidationFailed, ValidationFailed,
@@ -25,17 +24,17 @@ def build(n, edges):
 
 def test_provider_edgeless_and_single_edge():
     amfm = fractional_provider(build(3, []), 0.2)
-    assert amfm.x.value() == 0.0
+    assert amfm.x == {}
     amfm = fractional_provider(build(2, [(0, 1)]), 0.2)
     assert validate_amfm(build(2, [(0, 1)]), amfm)["ok"]
-    assert amfm.x.x[(0, 1)] == pytest.approx(1.0)
+    assert amfm.x == {(0, 1): 1.0}
 
 
 def test_provider_star_spreads_weight():
     g = build(6, [(0, i) for i in range(1, 6)])
     amfm = fractional_provider(g, 0.2)
     for e in g.edges():
-        assert amfm.x.x[e] == pytest.approx(1.0 / 5)
+        assert amfm.x[e] == pytest.approx(1.0 / 5)
     assert validate_amfm(g, amfm)["ok"]
 
 
@@ -50,17 +49,28 @@ def test_provider_valid_on_random_graphs():
                     g.insert(u, v)
         amfm = fractional_provider(g, 0.2)
         assert validate_amfm(g, amfm)["ok"]
-        # feasibility: fractional degrees at most 1
-        from dynmatch.graph import validate
-        assert validate(g, amfm.x)["ok"]
 
 
 def test_amfm_validator_rejects_bad_assignment():
     g = build(3, [(0, 1), (1, 2)])
-    x = FractionalMatching()
-    x.set_value(0, 1, 0.01)
-    bad = AMfM(x=x, c=1.2, d=10)
-    assert not validate_amfm(g, bad)["ok"]
+    bad = AMfM(x={(0, 1): 0.01}, c=1.2, d=10)
+    rep = validate_amfm(g, bad)
+    assert not rep["ok"] and "neither heavy nor blocked" in rep["violation"]
+
+
+def test_amfm_validator_checks_feasibility_first():
+    # the path 0-1-2: every value is heavy, so only feasibility can fail
+    g = build(3, [(0, 1), (1, 2)])
+    for x, why in (({(0, 1): 0.9, (1, 2): 0.9, (2, 3): 0.9}, "at 1"),
+                   ({(0, 1): 0.9, (2, 3): 0.9}, "(2,3)"),
+                   ({(0, 1): 1.0, (0, 2): 0.5}, "(0,2)"),
+                   ({(1, 0): 1.0}, "(1,0)"),
+                   ({(0, 1): 1.0, (1, 2): -0.5}, "value -0.5"),
+                   ({(0, 1): float("nan")}, "value nan")):
+        rep = validate_amfm(g, AMfM(x=x, c=1.2, d=2))
+        assert not rep["ok"] and why in rep["violation"], (x, rep)
+    assert validate_amfm(g, AMfM(x={(0, 1): 0.6, (1, 2): 0.4}, c=1.2,
+                                 d=3))["ok"]
 
 
 def test_degree_bound_formula():
@@ -80,27 +90,19 @@ def test_sparsify_takes_levels_wholesale_and_rejects_degree_above_d():
     # levels ascend, each in the AMfM's order: x = 0.5 is level 4 at eps
     # 0.2, x = 1.0 level 1
     g = build(6, [(0, 1), (2, 3), (4, 5)])
-    x = FractionalMatching()
-    x.set_value(0, 1, 0.5)
-    x.set_value(2, 3, 1.0)
-    x.set_value(4, 5, 0.5)
+    x = {(0, 1): 0.5, (2, 3): 1.0, (4, 5): 0.5}
     kern = edge_color_and_sparsify(g, AMfM(x=x, c=1.4, d=2), 0.2)
     assert kern.edges == [(2, 3), (0, 1), (4, 5)]
     # a star's centre has kernel degree 5 > d = 2
     star = build(6, [(0, i) for i in range(1, 6)])
-    x = FractionalMatching()
-    for e in star.edges():
-        x.set_value(*e, 0.2)
+    x = dict.fromkeys(star.edges(), 0.2)
     with pytest.raises(KernelValidationFailed):
         edge_color_and_sparsify(star, AMfM(x=x, c=1.4, d=2), 0.2)
 
 
 def test_sparsify_perfect_matching_support():
     g = build(8, [(i, i + 4) for i in range(4)])
-    x = FractionalMatching()
-    for e in g.edges():
-        x.set_value(*e, 0.8)
-    amfm = AMfM(x=x, c=1.4, d=10)
+    amfm = AMfM(x=dict.fromkeys(g.edges(), 0.8), c=1.4, d=10)
     kern = edge_color_and_sparsify(g, amfm, 0.2)
     assert sorted(kern.edges) == sorted(g.edges())
     assert max(kern.degrees.values()) == 1
@@ -108,7 +110,7 @@ def test_sparsify_perfect_matching_support():
 
 def test_sparsify_empty_and_triangle():
     g = build(3, [])
-    amfm = AMfM(x=FractionalMatching(), c=1.4, d=5)
+    amfm = AMfM(x={}, c=1.4, d=5)
     kern = edge_color_and_sparsify(g, amfm, 0.2)
     assert kern.edges == [] and validate_kernel(g, kern)["ok"]
     tri = build(3, [(0, 1), (1, 2), (0, 2)])
@@ -123,6 +125,16 @@ def test_kernel_validator_rejects_uncovered_exclusion():
     kern = Kernel(edges=[(0, 1)], d=3, eps=0.0)
     rep = validate_kernel(g, kern)
     assert not rep["ok"] and "(2,3)" in rep["violation"]
+
+
+def test_kernel_validator_rejects_edges_outside_g():
+    g = build(4, [(0, 1), (2, 3)])
+    assert validate_kernel(g, Kernel(edges=[(3, 2), (0, 1)], d=3,
+                                     eps=0.0))["ok"]
+    for stray in ((1, 2), (3, 4), (-1, 0)):
+        kern = Kernel(edges=[(0, 1), (2, 3), stray], d=3, eps=0.0)
+        rep = validate_kernel(g, kern)
+        assert not rep["ok"] and "not in g" in rep["violation"], stray
 
 
 def test_static_extraction_examples():

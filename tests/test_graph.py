@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynmatch.graph import (BMatching, DuplicateInsert, DynamicGraph,
-                            FractionalMatching, GraphError, Matching,
+                            GraphError, Matching,
                             MissingDelete, NotMaximal, OutOfRange, SelfLoop,
                             UpdateEvent,
                             format_event, norm_edge, parse_stream_lines,
@@ -43,6 +43,13 @@ def test_invalid_updates_rejected_without_state_change():
     assert list(g.edges()) == [(0, 1)] and g.degrees() == [1, 1, 0]
     g.insert(1, 2)
     assert list(g.edges()) == [(0, 1), (1, 2)] and g.degrees() == [1, 2, 1]
+
+
+def test_vertex_count_is_a_nonnegative_int():
+    assert DynamicGraph(0).n == 0 and DynamicGraph(3).adj == [{}, {}, {}]
+    for n in (True, False, 3.0, -1, "3", None):
+        with pytest.raises(ValueError):
+            DynamicGraph(n)
 
 
 def test_listeners_called_in_registration_order():
@@ -158,15 +165,6 @@ def test_bmatching_maximality_check_raises():
     bm.check_maximal([(0, 1), (0, 2), (1, 2)])
 
 
-def test_fractional_matching_value_and_fdeg():
-    x = FractionalMatching()
-    x.set_value(0, 1, 0.5)
-    x.set_value(1, 2, 0.25)
-    assert x.value() == pytest.approx(0.75)
-    x.set_value(0, 1, 0.0)
-    assert (0, 1) not in x.x
-
-
 def test_validate_solutions():
     g = DynamicGraph(4)
     g.insert(0, 1)
@@ -177,10 +175,6 @@ def test_validate_solutions():
     bm = BMatching({0: 1, 1: 1})
     bm.add(0, 1)
     assert validate(g, bm)["ok"]
-    x = FractionalMatching()
-    x.set_value(0, 1, 0.9)
-    rep = validate(g, x)
-    assert rep["ok"] and rep["value"] == pytest.approx(0.9)
 
 
 def test_stream_format_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -259,10 +260,12 @@ def test_malformed_reports_rejected(tmp_path):
             fh.write(meta + "\n" + json.dumps(row) + "\n")
         with pytest.raises(MalformedReport):
             read_report(p)  # row without an integer update index
-    # nu, mu and ratio, where present, are numbers (not bools) or null
+    # nu, mu and ratio, where present, are finite numbers (not bools) or
+    # null; json writes and reads NaN and Infinity
     ok = {"type": "row", "t": 1, "nu": 1.0, "mu": 1, "ratio": 1.0}
     for key, bad in (("ratio", "1.0"), ("mu", "12"), ("nu", "x"),
-                     ("nu", True), ("mu", [1])):
+                     ("nu", True), ("mu", [1]), ("ratio", math.nan),
+                     ("nu", math.inf), ("mu", -math.inf)):
         with open(p, "w") as fh:
             fh.write(meta + "\n" + json.dumps(dict(ok, **{key: bad})) + "\n")
         with pytest.raises(MalformedReport, match=f"line 2: {key} "):
@@ -400,6 +403,9 @@ CRITERIA = {
     ["run", "--stream", "{d}/far.txt", "--eps", "0.2"] + RUN_ARGS,
     ["summarize", "--report", "{d}/no_t.json"],
     ["summarize", "--report", "{d}/string_ratio.json"],
+    ["summarize", "--report", "{d}/nan_ratio.json", "--criteria",
+     "{d}/gate.json"],
+    ["summarize", "--report", "{d}/infinite_nu.json"],
     ["run", "--stream", "{d}/word.txt", "--eps", "0.2"] + RUN_ARGS,
     ["gen", "--workload", "adaptive-adversary", "--n", "10",
      "--out", "{d}/x.txt"],
@@ -407,7 +413,8 @@ CRITERIA = {
       "{d}/" + name] for name in CRITERIA],
     ids=["gen-density", "run-eps", "run-missing-stream",
          "run-vertex-out-of-range", "summarize-row-without-t",
-         "summarize-string-ratio",
+         "summarize-string-ratio", "summarize-nan-ratio",
+         "summarize-infinite-nu",
          "run-non-integer-vertex", "gen-adaptive-without-reads"]
     + ["criteria-" + name[:-5] for name in CRITERIA])
 def test_cli_input_errors_exit_2(tmp_path, capsys, argv):
@@ -420,9 +427,16 @@ def test_cli_input_errors_exit_2(tmp_path, capsys, argv):
     (tmp_path / "string_ratio.json").write_text(
         '{"type": "meta"}\n'
         '{"type": "row", "t": 1, "nu": 1.0, "mu": 1, "ratio": "1.0"}\n')
+    (tmp_path / "nan_ratio.json").write_text(
+        '{"type": "meta"}\n'
+        '{"type": "row", "t": 1, "nu": 1.0, "mu": 1, "ratio": NaN}\n')
+    (tmp_path / "infinite_nu.json").write_text(
+        '{"type": "meta"}\n'
+        '{"type": "row", "t": 1, "nu": Infinity, "mu": 1, "ratio": 0.0}\n')
     (tmp_path / "ok.json").write_text(
         '{"type": "meta"}\n'
         '{"type": "row", "t": 1, "nu": 1.0, "mu": 1, "ratio": 1.0}\n')
+    (tmp_path / "gate.json").write_text('{"ratio_max": 1.907}')
     for name, text in CRITERIA.items():
         (tmp_path / name).write_text(text)
     assert cli_main([a.format(d=tmp_path) for a in argv]) == 2
