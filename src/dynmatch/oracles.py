@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import networkx as nx
 
@@ -35,8 +36,10 @@ class RankFunction:
     to materialize a permutation.
 
     The canonical name puts the endpoints in `repr` order (`canonical`), and
-    the PRF input is that name's `repr`. `sort_key` builds it from one `repr`
-    per endpoint and hashes it once.
+    the PRF input is that name's `repr` (`name_bytes`). `ranks_of` is the one
+    place a rank is hashed: `sort_key` ranks a single name through it, and
+    `sort_edges` ranks a whole edge list in one call, so a subclass that
+    overrides `ranks_of` changes every rank.
     """
 
     def __init__(self, seed: int):
@@ -49,29 +52,51 @@ class RankFunction:
     def canonical(a, b) -> Tuple:
         return (a, b) if repr(a) <= repr(b) else (b, a)
 
+    @staticmethod
+    def name_bytes(ra: str, rb: str) -> bytes:
+        """The bytes ranked for the edge whose endpoints' reprs are ra and
+        rb: the encoded repr of its canonical name."""
+        # f"({ra}, {rb})" == repr((a, b)) for a 2-tuple
+        return (f"({ra}, {rb})" if ra <= rb else f"({rb}, {ra})").encode()
+
     def rank(self, a, b) -> float:
         return self.sort_key(a, b)[0]
 
     def sort_key(self, a, b):
         ra, rb = repr(a), repr(b)
-        name = (a, b)
-        if rb < ra:
-            ra, rb, name = rb, ra, (b, a)
-        # f"({ra}, {rb})" == repr(name) for a 2-tuple
-        h = self._prf.copy()
-        h.update(f"({ra}, {rb})".encode())
-        return (int.from_bytes(h.digest(), "little") / 2.0**64, name)
+        return (self.ranks_of([self.name_bytes(ra, rb)])[0],
+                (a, b) if ra <= rb else (b, a))
 
     def ranks_of(self, names: Sequence[bytes]) -> List[float]:
-        """The rank of each edge given as the encoded `repr` of its
-        canonical name, the bytes `sort_key` hashes."""
-        prf = self._prf
+        """The rank of each edge given as its `name_bytes`."""
+        copy = self._prf.copy
         out = []
         for name in names:
-            h = prf.copy()
+            h = copy()
             h.update(name)
             out.append(int.from_bytes(h.digest(), "little") / 2.0**64)
         return out
+
+    def rank_order(self, names: Sequence[bytes], key: Callable[[int], Tuple]
+                   ) -> Tuple[List[float], List[int]]:
+        """The ranks of a batch of edges given by their `name_bytes`, and
+        the batch's indices in increasing sort_key order. `key(i)` is edge
+        i's sort_key; it is called only if a rank repeats in the batch,
+        when the indices are sorted by it to break the tie by name."""
+        ranks = self.ranks_of(names)
+        if len(set(ranks)) == len(ranks):
+            return ranks, sorted(range(len(ranks)), key=ranks.__getitem__)
+        return ranks, sorted(range(len(ranks)), key=key)
+
+    def sort_edges(self, edges: Iterable[Tuple]) -> List[Tuple]:
+        """`edges` in increasing sort_key order, ranked in one batch:
+        `sorted(edges, key=lambda e: self.sort_key(*e))`."""
+        edges = list(edges)
+        name = self.name_bytes
+        _, order = self.rank_order(
+            [name(repr(a), repr(b)) for a, b in edges],
+            lambda i: self.sort_key(*edges[i]))
+        return [edges[i] for i in order]
 
 
 # -- exact maximum matching ------------------------------------------------
@@ -195,8 +220,7 @@ def max_matching_size(g: DynamicGraph) -> int:
 
 def greedy_maximal_matching(g: DynamicGraph, ranks: RankFunction) -> Matching:
     """The greedy scan over the edges in increasing rank."""
-    return first_pass_matching(
-        sorted(g.edges(), key=lambda e: ranks.sort_key(*e)))
+    return first_pass_matching(ranks.sort_edges(g.edges()))
 
 
 def maximal_b_matching_reference(g: DynamicGraph, caps: Dict[int, int],

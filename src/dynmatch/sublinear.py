@@ -136,6 +136,22 @@ class ImplicitSupergraph:
         raise ValueError(f"unknown vertex class {x!r}")
 
     def neighbors_of(self, x) -> List[Tuple]:
+        """The non-None `list_query(x, j)` for j = 1..degree(x), in that
+        order and with the same probes; V and V* lists are built per class
+        in one pass over the n base indices."""
+        kind = x[0]
+        if kind == "v":
+            i = x[1]
+            probe = self.oracle.edge_exists
+            return [("v", j) if j != i and probe(i, j) else ("vs", j)
+                    for j in range(self.n)]
+        if kind == "vs":
+            i = x[1]
+            probe = self.oracle.edge_exists
+            out = [("w", i, j) if j != i and probe(i, j) else ("v", j)
+                   for j in range(self.n)]
+            out.extend([("u", i, j) for j in range(1, self.s + 1)])
+            return out
         out = []
         for j in range(1, self.degree(x) + 1):
             y = self.list_query(x, j)
@@ -183,6 +199,10 @@ class _LocalGMM:
     query spends on incidences its simulator has not fetched before, so a
     query that reuses earlier queries' work breaches less often than it
     would alone.
+
+    An incidence is ranked in one batch through `RankFunction.ranks_of`,
+    the one place a rank is hashed, and `sort_key` is called only for the
+    edge being decided and to break rank ties.
     """
 
     def __init__(self, host, ranks: RankFunction,
@@ -207,13 +227,19 @@ class _LocalGMM:
 
     def _incidence(self, x) -> Tuple[array, List]:
         """x's neighbours in increasing sort_key order of the edge (x, y),
-        with the rank of each edge."""
+        with the rank of each edge. All of x's edges are ranked in one
+        `rank_order` batch, with x's repr taken once."""
         inc = self._incidence_memo.get(x)
         if inc is None:
+            neigh = self.host.neighbors_of(x)
+            rx = repr(x)
+            name = RankFunction.name_bytes
             key = self.ranks.sort_key
-            keyed = sorted((key(x, y), y) for y in self.host.neighbors_of(x))
-            inc = (array("d", [k[0] for k, _ in keyed]),
-                   [y for _, y in keyed])
+            ranks, order = self.ranks.rank_order(
+                [name(rx, repr(y)) for y in neigh],
+                lambda i: key(x, neigh[i]))
+            inc = (array("d", [ranks[i] for i in order]),
+                   [neigh[i] for i in order])
             self._incidence_memo[x] = inc
         return inc
 
@@ -371,7 +397,7 @@ def _materialized_h_gmm(h: ImplicitSupergraph, ranks: RankFunction):
     """Global GMM over an explicitly materialized H (small n only), as
     (partner map, chosen edges): the greedy scan in increasing rank."""
     _, edges = h.materialize()
-    m = first_pass_matching(sorted(edges, key=lambda e: ranks.sort_key(*e)))
+    m = first_pass_matching(ranks.sort_edges(edges))
     return m.partner, m.edges()
 
 
@@ -432,8 +458,10 @@ def estimate_pair_matched(g: DynamicGraph, m_star: Matching, eps: float,
     (delta = eps^2/8), and returns X*|M*|/L - n*eps^2/2, clamped at 0. Below
     the validity threshold it instead counts exactly the M* edges whose
     endpoints are both matched by the base graph's greedy maximal matching
-    under the seeded ranks.
+    under the seeded ranks. eps must lie in (0, 1).
     """
+    if not (0 < eps < 1):
+        raise ValueError("eps must be in (0, 1)")
     n = g.n
     size = len(m_star)
     if size <= eps**2 * n:

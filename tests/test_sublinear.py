@@ -249,6 +249,18 @@ def test_estimate_pair_matched_edgeless_clamps_to_zero():
     assert estimate_pair_matched(g, mstar, 0.2, seed=3) == 0.0
 
 
+def test_estimate_pair_matched_rejects_eps_outside_unit_interval():
+    n, k = 8, 4
+    g = build(n, [(i, k + i) for i in range(k)])
+    mstar = Matching([(i, k + i) for i in range(k)])
+    for eps in (0.0, -0.5, 1.0, 1.5, float("nan")):
+        for m in (mstar, Matching()):
+            for forced in (False, True):
+                with pytest.raises(ValueError, match="eps"):
+                    estimate_pair_matched(g, m, eps, 0, sample_constant=4,
+                                          budget=BIG, force_sampling=forced)
+
+
 def test_sampling_path_agrees_with_materialized_reference():
     n, k = 10, 5
     eps = 0.5
@@ -307,15 +319,84 @@ def test_sort_key_matches_reference_formula():
             assert r.sort_key(a, b) == want
             assert r.sort_key(b, a) == want
             assert r.rank(a, b) == want[0]
+            assert r.ranks_of([repr(want[1]).encode()])[0] == want[0]
 
 
 class _FourRanks(RankFunction):
     """Ranks floored to a multiple of 1/4, so most edges tie on rank and
-    order by name."""
+    order by name. Overriding the one hash site reaches every rank: the
+    single ones of `sort_key` and the batched ones of incidences and
+    greedy scans."""
 
-    def sort_key(self, a, b):
-        r, name = super().sort_key(a, b)
-        return (math.floor(r * 4) / 4, name)
+    def ranks_of(self, names):
+        return [math.floor(r * 4) / 4 for r in super().ranks_of(names)]
+
+
+def _random_graph(n, p, rng):
+    g = DynamicGraph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                g.insert(u, v)
+    return g
+
+
+def test_neighbors_of_matches_list_query():
+    """`neighbors_of` builds V and V* lists per class; its specification is
+    the non-None list queries in index order, at the same probe cost."""
+    rng = random.Random(23)
+    for trial in range(10):
+        g = _random_graph(rng.randrange(1, 10), 0.4, rng)
+        for delta in (0.9, 0.35):
+            o = AdjacencyOracle(g)
+            h = ImplicitSupergraph(o, delta)
+            verts, _ = h.materialize()
+            for x in verts:
+                before = o.probes
+                got = h.neighbors_of(x)
+                spent = o.probes - before
+                before = o.probes
+                want = [h.list_query(x, j) for j in range(1, h.degree(x) + 1)]
+                want = [y for y in want if y is not None]
+                assert got == want
+                assert spent == o.probes - before
+
+
+def test_incidence_is_bit_identical_to_sort_key_order():
+    """One batched ranking per incidence gives exactly the ranks and order
+    of sorting each edge by its own `sort_key`; under `_FourRanks` every
+    incidence repeats a rank and takes the tie fallback."""
+    rng = random.Random(24)
+    for trial in range(4):
+        n = rng.randrange(2, 8)
+        g = _random_graph(n, 0.5, rng)
+        h = ImplicitSupergraph(AdjacencyOracle(g), 0.9)
+        for seed in (0, 7, -1, -(2**120), 2**100 + 3):
+            for ranks in (RankFunction(seed), _FourRanks(seed)):
+                sim = _LocalGMM(h, ranks)
+                for i in range(n):
+                    for x in (("v", i), ("vs", i)):
+                        want = sorted((ranks.sort_key(x, y), y)
+                                      for y in h.neighbors_of(x))
+                        got_ranks, got_neigh = sim._incidence(x)
+                        assert ([r.hex() for r in got_ranks]
+                                == [k[0].hex() for k, _ in want])
+                        assert got_neigh == [y for _, y in want]
+
+
+def test_sort_edges_is_sort_key_order():
+    """The batched greedy-scan order equals a stable sort by `sort_key`,
+    with both orientations of an edge in the list and under rank ties."""
+    rng = random.Random(25)
+    for trial in range(4):
+        g = _random_graph(rng.randrange(2, 8), 0.5, rng)
+        _, h_edges = ImplicitSupergraph(AdjacencyOracle(g), 0.9).materialize()
+        base = list(g.edges())
+        for edges in (base, base + [(b, a) for (a, b) in base], h_edges):
+            for seed in (0, -1, 2**100 + 3):
+                for ranks in (RankFunction(seed), _FourRanks(seed)):
+                    want = sorted(edges, key=lambda e: ranks.sort_key(*e))
+                    assert ranks.sort_edges(edges) == want
 
 
 def test_local_status_under_rank_ties():
