@@ -55,8 +55,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.mode not in ("bipartite", "general", "tradeoff"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0.0 < self.eps < 1.0:  # also rejects NaN
-            raise ValueError(f"eps={self.eps} outside (0, 1)")
+        # rejects an eps outside (0, 1), NaN included
+        self.spc = SecondPassConfig.bipartite(self.eps)
         # a float would fail only in an estimate, and a bool is no count
         for name in ("seed", "reps"):
             value = getattr(self, name)
@@ -64,7 +64,6 @@ class EstimatorConfig:
                 raise ValueError(f"{name}={value!r} is not an integer")
         if self.reps < 1:
             raise ValueError("repetition count must be >= 1")
-        self.spc = SecondPassConfig.bipartite(self.eps)
 
 
 @dataclass

@@ -15,8 +15,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 
 import networkx as nx
 
-from .graph import (BMatching, DynamicGraph, Edge, Matching,
-                    first_pass_matching)
+from .graph import DynamicGraph, Edge, Matching, first_pass_matching
 
 GENERAL_EXACT_CAP = 64
 AUG_PATH_CAP = 24
@@ -43,6 +42,9 @@ class RankFunction:
     """
 
     def __init__(self, seed: int):
+        # a float would fail only at the first hash, and a bool is no seed
+        if type(seed) is not int:
+            raise ValueError(f"seed={seed!r} is not an integer")
         self.seed = seed
         # keyed once; each hash continues from a copy of this state
         self._prf = hashlib.blake2b(
@@ -221,26 +223,6 @@ def max_matching_size(g: DynamicGraph) -> int:
 def greedy_maximal_matching(g: DynamicGraph, ranks: RankFunction) -> Matching:
     """The greedy scan over the edges in increasing rank."""
     return first_pass_matching(ranks.sort_edges(g.edges()))
-
-
-def maximal_b_matching_reference(g: DynamicGraph, caps: Dict[int, int],
-                                 order: Sequence[Edge]) -> BMatching:
-    """Greedy b-matching over `order` (repetition allowed), rescanned to a
-    fixpoint so the result is maximal over the edges appearing in `order`.
-
-    Maximality is re-verified post-hoc; one copy is added per eligibility
-    check, matching the scan semantics used by the streaming module.
-    """
-    bm = BMatching(caps)
-    changed = True
-    while changed:
-        changed = False
-        for (u, v) in order:
-            if bm.residual(u) > 0 and bm.residual(v) > 0:
-                bm.add(u, v, 1)
-                changed = True
-    bm.check_maximal(order)
-    return bm
 
 
 # -- 3-augmenting-path packing --------------------------------------------

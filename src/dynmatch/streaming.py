@@ -36,8 +36,11 @@ class SecondPassConfig:
 
     @staticmethod
     def bipartite(eps: float) -> "SecondPassConfig":
-        # k >= 8/(eps' * b) at the derived precision eps' = eps/16 (the
-        # stricter of the two candidate wirings)
+        """k >= 8/(eps' * b) at the derived precision eps' = eps/16 (the
+        stricter of the two candidate wirings). An eps outside (0, 1),
+        NaN included, raises ValueError."""
+        if not 0.0 < eps < 1.0:  # also rejects NaN
+            raise ValueError(f"eps={eps} outside (0, 1)")
         return SecondPassConfig(
             k=math.ceil(8.0 / ((eps / 16.0) * B_BIPARTITE)))
 
@@ -111,11 +114,11 @@ def bipartite_two_pass(edges: Sequence[Edge], eps: float, n: int
     Guarantees nu <= mu(G) <= (1 + 1/sqrt(2) + eps) * nu. The lower side is
     deterministic: placing value 1-delta on M1 edges and delta/k on M2
     multi-edges is a feasible fractional matching of the (bipartite) subgraph
-    M1 union M2, of value nu.
+    M1 union M2, of value nu. An eps outside (0, 1) raises ValueError.
     """
+    cfg = SecondPassConfig.bipartite(eps)
     edges = list(edges)
     _check_bipartite(edges, n)
-    cfg = SecondPassConfig.bipartite(eps)
     m1 = first_pass_matching(edges)
     nu, m2 = second_pass_bipartite(edges, m1, cfg)
     return nu, m1, m2
@@ -279,7 +282,11 @@ def general_two_pass(edges: Sequence[Edge], n: int, b: int = B_GENERAL,
     filter. So the exact oracle takes its layered route, which has no size
     cap. The first pass is a greedy maximal matching M1, so in expectation
     over the bipartition seed the value is >= (1/2 + 1/144) * mu(G) at b = 9.
+    A seed that is not an int raises ValueError.
     """
+    # a float seed would fail only in the first coin, and a bool is no seed
+    if type(seed) is not int:
+        raise ValueError(f"seed={seed!r} is not an integer")
     edges = list(edges)
     m1 = first_pass_matching(edges)
     part = random_bipartition(m1, n, seed)

@@ -4,7 +4,9 @@ The centerpiece is an implicit supergraph H of the base graph G that supports
 ordered adjacency-list queries at a cost of at most one membership probe to G
 each, such that the random greedy maximal matching (GMM) of H restricted to G
 is near-maximal w.h.p. Status queries resolve a vertex's matched status under
-GMM locally via rank-based pruning, without materializing anything.
+GMM locally via rank-based pruning, without materializing anything. For small
+n, `materialized_gmm` runs the global greedy scan over an explicit H; it is
+the one exact reference for the local oracle and the samplers.
 
 Vertex naming in H: ('v', i) for base vertices, ('vs', i) for their shadow
 copies, ('w', i, j) and ('u', i, j) for the degree-<=1 pendant classes.
@@ -160,7 +162,10 @@ class ImplicitSupergraph:
         return out
 
     def materialize(self) -> Tuple[List[Tuple], List[Tuple[Tuple, Tuple]]]:
-        """Explicit (vertices, edges) of H for small-n cross-checks."""
+        """Explicit (vertices, edges) of H for small-n cross-checks, each
+        edge named canonically. The edges are read from `neighbors_of` of
+        the V and V* vertices: a W or U vertex's only neighbour is its own
+        V* vertex, so every edge of H has such an endpoint."""
         verts: List[Tuple] = []
         for i in range(self.n):
             verts.append(("v", i))
@@ -169,14 +174,11 @@ class ImplicitSupergraph:
                 verts.append(("w", i, j))
             for j in range(1, self.s + 1):
                 verts.append(("u", i, j))
+        canonical = RankFunction.canonical
         edges = set()
         for i in range(self.n):
-            for j in range(1, self.n + 1):
-                y = self.list_query(("v", i), j)
-                edges.add(RankFunction.canonical(("v", i), y))
-            for j in range(1, self.n + self.s + 1):
-                y = self.list_query(("vs", i), j)
-                edges.add(RankFunction.canonical(("vs", i), y))
+            for x in (("v", i), ("vs", i)):
+                edges.update(canonical(x, y) for y in self.neighbors_of(x))
         return verts, sorted(edges)
 
 
@@ -393,50 +395,53 @@ def mm_size_estimate(g: DynamicGraph, eps: float, seed: int,
     return max(0.0, nu)
 
 
-def _materialized_h_gmm(h: ImplicitSupergraph, ranks: RankFunction):
-    """Global GMM over an explicitly materialized H (small n only), as
-    (partner map, chosen edges): the greedy scan in increasing rank."""
-    _, edges = h.materialize()
-    m = first_pass_matching(ranks.sort_edges(edges))
-    return m.partner, m.edges()
-
-
 @functools.lru_cache(maxsize=1)
-def _materialized_h(n: int, edges: FrozenSet[Tuple[int, int]], eps: float
-                    ) -> Tuple[Tuple[bytes, ...], Tuple[Tuple[int, int], ...]]:
-    """The seed-independent part of GMM over a materialized H for the graph
-    on [0, n) with `edges`: H's edges in name order, each as the bytes its
-    rank hashes and as a pair of endpoint ids, with ("v", i) numbered i.
-    The last graph is kept, so a run of seeds on one graph builds H
-    once."""
+def _materialized_h(n: int, edges: FrozenSet[Tuple[int, int]], delta: float
+                    ) -> Tuple[Tuple[bytes, ...], Tuple[Tuple[int, int], ...],
+                               Tuple[Tuple, ...]]:
+    """The seed-independent part of GMM over a materialized H (parameter
+    delta) for the graph on [0, n) with `edges`: H's edges in name order,
+    each as its `RankFunction.name_bytes` and as a pair of endpoint ids,
+    and the H vertex of each id, with ("v", i) numbered i. The last graph
+    is kept, so a run of seeds on one graph builds H once."""
     g = DynamicGraph(n)
     for e in edges:
         g.insert(*e)
-    _, h_edges = ImplicitSupergraph(AdjacencyOracle(g), eps**2 / 8.0
-                                    ).materialize()
+    _, h_edges = ImplicitSupergraph(AdjacencyOracle(g), delta).materialize()
     ids = {("v", i): i for i in range(n)}
-    # materialize() names each edge canonically, as sort_key does
-    names = tuple(repr(e).encode() for e in h_edges)
+    name = RankFunction.name_bytes
+    names = tuple(name(repr(a), repr(b)) for (a, b) in h_edges)
     ends = tuple((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
                  for (a, b) in h_edges)
-    return names, ends
+    return names, ends, tuple(ids)
+
+
+def materialized_gmm(g: DynamicGraph, delta: float, ranks: RankFunction
+                     ) -> Dict[Tuple, Tuple]:
+    """GMM over the materialized supergraph H (parameter delta) of g, as
+    its partner map on H vertices: the greedy scan in increasing sort_key
+    order, the exact reference for the local status oracle (small n only).
+    H is built once per graph and delta (`_materialized_h`); the ranks
+    only re-order its edges. A stable sort of the name-ordered edges by
+    rank breaks ties by name, as `RankFunction.sort_key` orders them; the
+    scan runs on endpoint ids."""
+    names, ends, verts = _materialized_h(g.n, frozenset(g.edges()), delta)
+    r = ranks.ranks_of(names)
+    partner = first_pass_matching(
+        ends[i] for i in sorted(range(len(names)), key=r.__getitem__)
+    ).partner
+    return {verts[a]: verts[b] for a, b in partner.items()}
 
 
 def exact_pair_matched_count(g: DynamicGraph, m_star: Matching, eps: float,
                              seed: int) -> int:
-    """Exact |{e in M*: both endpoints matched by GMM(H, ranks)}| via a
-    materialized H; the reference the sampling path is checked against.
-    H is built once per graph and eps (`_materialized_h`); a seed only
-    re-ranks its edges. A stable sort of the name-ordered edges by rank
-    breaks ties by name, as `RankFunction.sort_key` orders them; the
-    greedy scan then runs on the endpoint ids."""
-    names, ends = _materialized_h(g.n, frozenset(g.edges()), eps)
-    ranks = RankFunction(seed).ranks_of(names)
-    matched = first_pass_matching(
-        ends[i] for i in sorted(range(len(names)), key=ranks.__getitem__)
-    ).partner
+    """Exact |{e in M*: both endpoints matched by GMM(H, ranks)}| for H at
+    delta = eps^2/8 and the ranks of `seed`, via `materialized_gmm`; the
+    reference the sampling path of `estimate_pair_matched` is checked
+    against."""
+    matched = materialized_gmm(g, eps**2 / 8.0, RankFunction(seed))
     return sum(1 for (u, v) in m_star.edges()
-               if u in matched and v in matched)
+               if ("v", u) in matched and ("v", v) in matched)
 
 
 def pair_matched_sample_count(n: int, eps: float,

@@ -17,9 +17,9 @@ from dynmatch.amm import Kernel, high_degree_nodes, provider_degree_bound
 from dynmatch.oracles import RankFunction
 from dynmatch.sublinear import (AdjacencyOracle, ImplicitSupergraph,
                                 QueryBudget, _GraphListHost,
-                                _materialized_h_gmm, estimate_pair_matched,
+                                estimate_pair_matched,
                                 exact_pair_matched_count, gmm_vertex_status,
-                                mm_size_estimate)
+                                materialized_gmm, mm_size_estimate)
 from dynmatch.streaming import (B_GENERAL, bipartite_two_pass,
                                 bulk_maximal_b_matching, general_two_pass)
 from dynmatch.estimator import Estimator, EstimatorConfig
@@ -472,8 +472,7 @@ def test_criterion_11_sublinear_sandwich():
             continue
         mu = oracles.max_matching_size(g)
         delta = eps2 / 4.0
-        h = ImplicitSupergraph(AdjacencyOracle(g), delta)
-        matched, _ = _materialized_h_gmm(h, RankFunction(trial * 7 + 1))
+        matched = materialized_gmm(g, delta, RankFunction(trial * 7 + 1))
         frac = sum(1 for i in range(n2) if ("v", i) in matched) / n2
         nu = max(0.0, (frac - eps2 / 4.0 - delta) * n2 / 2.0)
         if mu / 2 - eps2 * n2 - 1e-9 <= nu <= mu + 1e-9:

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import networkx as nx
@@ -8,8 +7,7 @@ from dynmatch.graph import DynamicGraph, Matching
 from dynmatch import oracles
 from dynmatch.oracles import (RankFunction, amm_witness_check, bipartition,
                               count_disjoint_3aug, greedy_maximal_matching,
-                              max_matching_exact, max_matching_size,
-                              maximal_b_matching_reference)
+                              max_matching_exact, max_matching_size)
 
 
 def build(n, edges):
@@ -28,6 +26,12 @@ def test_rank_function_deterministic_and_tie_broken():
     assert RankFunction(8).rank(3, 5) != r1.rank(3, 5)
     keys = {r1.sort_key(a, b) for a in range(20) for b in range(a + 1, 20)}
     assert len(keys) == 190  # all distinct after tie-break
+
+
+def test_rank_function_rejects_a_seed_that_is_not_an_int():
+    for seed in (1.0, 1.5, "1", True, False, None):
+        with pytest.raises(ValueError, match="seed"):
+            RankFunction(seed)
 
 
 def test_max_matching_examples():
@@ -112,34 +116,6 @@ def test_greedy_output_always_maximal():
         m = greedy_maximal_matching(g, RankFunction(trial))
         for (u, v) in g.edges():
             assert m.is_matched(u) or m.is_matched(v)
-
-
-def test_b_matching_star_center_capacity_two():
-    edges = [(0, 1), (0, 2), (0, 3)]
-    caps = {0: 2, 1: 1, 2: 1, 3: 1}
-    g = build(4, edges)
-    for order in itertools.permutations(edges):
-        bm = maximal_b_matching_reference(g, caps, list(order))
-        assert bm.size == 2
-
-
-def test_b_matching_single_edge_min_cap_saturation():
-    g = build(2, [(0, 1)])
-    bm = maximal_b_matching_reference(g, {0: 3, 1: 2}, [(0, 1)])
-    assert bm.mult[(0, 1)] == 2
-
-
-def test_b_matching_k33_capacity_split_bound():
-    edges = [(u, v) for u in range(3) for v in range(3, 6)]
-    g = build(6, edges)
-    caps = {v: (1 if v < 3 else 2) for v in range(6)}
-    mu = max_matching_size(g)
-    rng = random.Random(5)
-    for _ in range(300):
-        order = list(edges)
-        rng.shuffle(order)
-        bm = maximal_b_matching_reference(g, caps, order)
-        assert bm.size >= mu * 1 * 2 / (1 + 2) - 1e-9
 
 
 def test_count_disjoint_3aug_examples():

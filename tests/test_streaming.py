@@ -123,6 +123,15 @@ def test_bipartite_two_pass_rejects_odd_cycle():
         bipartite_two_pass([(0, 1), (1, 2), (0, 2)], 0.15, n=3)
 
 
+def test_bipartite_two_pass_rejects_eps_outside_unit_interval():
+    # one check, in SecondPassConfig.bipartite, shared with EstimatorConfig
+    for eps in (0.0, -0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="eps"):
+            SecondPassConfig.bipartite(eps)
+        with pytest.raises(ValueError, match="eps"):
+            bipartite_two_pass([(0, 1)], eps, 2)
+
+
 def test_bipartite_bounds_hold_on_random_streams():
     rng = random.Random(2)
     for trial in range(40):
@@ -187,6 +196,14 @@ def test_general_two_pass_path_flip_cases():
         assert res.value == expected
         outcomes.add(crosses)
     assert (True, True) in outcomes and (False, False) in outcomes
+
+
+def test_general_two_pass_rejects_a_seed_that_is_not_an_int():
+    # a float would fail only in the first coin, and a bool is no seed
+    for seed in (1.5, 1.0, "1", True, False, None):
+        with pytest.raises(ValueError, match="seed"):
+            general_two_pass(PATH4, 4, seed=seed)
+    assert general_two_pass(PATH4, 4, seed=-(2**70)).value == 2
 
 
 def test_general_value_never_exceeds_mu_and_lower_bound_edges():

@@ -5,17 +5,16 @@ import struct
 
 import pytest
 
-from dynmatch.graph import DynamicGraph, Matching
+from dynmatch.graph import DynamicGraph, Matching, first_pass_matching
 from dynmatch import oracles
 from dynmatch.oracles import RankFunction
 from dynmatch.sublinear import (AdjacencyOracle, BudgetExceeded,
                                 ImplicitSupergraph, IndexOutOfClassRange,
                                 QueryBudget, _GraphListHost, _LocalGMM,
-                                _materialized_h_gmm, _sampled_hits,
-                                estimate_pair_matched,
+                                _sampled_hits, estimate_pair_matched,
                                 exact_pair_matched_count, gmm_vertex_status,
-                                mm_size_estimate, n_too_small,
-                                pair_matched_sample_count)
+                                materialized_gmm, mm_size_estimate,
+                                n_too_small, pair_matched_sample_count)
 
 
 def build(n, edges):
@@ -187,10 +186,9 @@ def test_occupancy_of_shadow_vertices():
                 if rng.random() < 0.3:
                     g.insert(u, v)
         delta = 0.4
-        h = ImplicitSupergraph(AdjacencyOracle(g), delta)
-        matched, chosen = _materialized_h_gmm(h, RankFunction(t * 3 + 1))
-        into_pendant = sum(1 for (a, b) in chosen
-                           if {a[0], b[0]} & {"w", "u"} and "vs" in (a[0], b[0]))
+        matched = materialized_gmm(g, delta, RankFunction(t * 3 + 1))
+        into_pendant = sum(1 for (x, y) in matched.items()
+                           if x[0] == "vs" and y[0] in ("w", "u"))
         if into_pendant >= (1 - delta) * n:
             ok += 1
     assert ok >= 0.9 * trials
@@ -261,6 +259,20 @@ def test_estimate_pair_matched_rejects_eps_outside_unit_interval():
                                           budget=BIG, force_sampling=forced)
 
 
+def test_seeded_estimates_reject_a_seed_that_is_not_an_int():
+    # RankFunction refuses the seed before any hash is taken
+    g = build(8, [(i, 4 + i) for i in range(4)])
+    mstar = Matching([(i, 4 + i) for i in range(4)])
+    for seed in (1.0, True):
+        with pytest.raises(ValueError, match="seed"):
+            exact_pair_matched_count(g, mstar, 0.5, seed)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_pair_matched(g, mstar, 0.5, seed, sample_constant=4,
+                                  budget=BIG, force_sampling=True)
+        with pytest.raises(ValueError, match="seed"):
+            mm_size_estimate(g, 0.4, seed)
+
+
 def test_sampling_path_agrees_with_materialized_reference():
     n, k = 10, 5
     eps = 0.5
@@ -275,21 +287,28 @@ def test_sampling_path_agrees_with_materialized_reference():
 
 
 def test_exact_pair_count_matches_sort_key_gmm():
-    """The reference re-ranks one cached H per graph; it counts exactly what
-    GMM over H sorted by `sort_key` matches, graph after graph. Dense graphs
-    leave some base vertex unmatched, and which one depends on the ranks."""
+    """The reference re-ranks one cached H per graph; its partner map is the
+    greedy scan over `materialize()`'s edges sorted by `sort_key`, graph
+    after graph and under rank ties, and the exact count reads it. Dense
+    graphs leave some base vertex unmatched, and which one depends on the
+    ranks."""
     rng = random.Random(12)
     for trial in range(8):
         n, eps = rng.randrange(2, 7), 0.9
-        g = DynamicGraph(n)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < 0.8:
-                    g.insert(u, v)
+        g = _random_graph(n, 0.8, rng)
+        delta = eps**2 / 8.0
+        _, h_edges = ImplicitSupergraph(AdjacencyOracle(g), delta).materialize()
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+        def spec(ranks):
+            return first_pass_matching(
+                sorted(h_edges, key=lambda e: ranks.sort_key(*e))).partner
+
         for seed in range(2):
-            h = ImplicitSupergraph(AdjacencyOracle(g), eps**2 / 8.0)
-            matched, _ = _materialized_h_gmm(h, RankFunction(seed))
+            tied = _FourRanks(seed)
+            assert materialized_gmm(g, delta, tied) == spec(tied)
+            matched = spec(RankFunction(seed))
+            assert materialized_gmm(g, delta, RankFunction(seed)) == matched
             for (u, v) in pairs:
                 both = ("v", u) in matched and ("v", v) in matched
                 count = exact_pair_matched_count(g, Matching([(u, v)]), eps,
@@ -411,7 +430,7 @@ def test_local_status_under_rank_ties():
         ranks = _FourRanks(trial)
         o = AdjacencyOracle(g)
         h = ImplicitSupergraph(o, 0.9)
-        matched, _ = _materialized_h_gmm(h, ranks)
+        matched = materialized_gmm(g, 0.9, ranks)
         sim = _LocalGMM(h, ranks, BIG, o)
         for i in range(n):
             for x in (("v", i), ("vs", i)):
