@@ -197,13 +197,15 @@ def general_query(g: DynamicGraph, m1: Matching, b: int,
                   seeds: Sequence[int]) -> Tuple[List[Tuple[float, int]], int]:
     """([(|M1| + kappa/b, kappa) per bipartition seed], reads), with kappa =
     |M1_hat|, the number of M1 edges whose endpoints both got matched in the
-    second pass (a subset of M1, so kappa <= |M1|), and `reads` the edges
-    read once plus the boundary entries each draw scans. Deterministically
+    second pass (a subset of M1, so kappa <= |M1|). Deterministically
     <= mu(g): at least kappa/b of those edges carry vertex-disjoint
     3-augmenting paths (`streaming.disjoint_augmenting_paths`). One
-    boundary, built in one O(m) read of the live edges, serves every seed;
-    each seed then costs O(|B|): its draw computes one coin per free
-    boundary vertex from (seed, vertex id) (`streaming.coin`)."""
+    boundary, built in one O(m) read of the live edges, serves every seed.
+    Each seed computes one coin per free boundary vertex from (seed,
+    vertex id) (`streaming.coin`), and only each distinct pattern of those
+    coins runs the O(|B|) pass; seeds with equal coins share its draw.
+    `reads` charges exactly that: the m edges, the coins of every seed,
+    and the boundary entries of every draw that ran."""
     boundary = Boundary(g.edges(), m1)
     size = len(m1)
     out = []
@@ -211,7 +213,8 @@ def general_query(g: DynamicGraph, m1: Matching, b: int,
         _, kappa = second_pass_general(
             boundary, random_bipartition(m1, g.n, seed), b)
         out.append((size + kappa / b, kappa))
-    return out, g.m + len(seeds) * len(boundary.edges)
+    return out, (g.m + len(seeds) * len(boundary.free)
+                 + len(boundary.draws) * len(boundary.edges))
 
 
 def combine_amm_and_alpha(m_prime: Matching, m_second: Matching) -> Matching:

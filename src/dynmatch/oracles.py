@@ -25,6 +25,13 @@ class TooLarge(Exception):
     pass
 
 
+def check_seed(seed) -> None:
+    """A seed is an int: a float would fail only at its first use, and a
+    bool is no seed. Anything else raises ValueError."""
+    if type(seed) is not int:
+        raise ValueError(f"seed={seed!r} is not an integer")
+
+
 class RankFunction:
     """Deterministic map from an edge name to a rank in [0, 1).
 
@@ -42,9 +49,7 @@ class RankFunction:
     """
 
     def __init__(self, seed: int):
-        # a float would fail only at the first hash, and a bool is no seed
-        if type(seed) is not int:
-            raise ValueError(f"seed={seed!r} is not an integer")
+        check_seed(seed)
         self.seed = seed
         # keyed once; each hash continues from a copy of this state
         self._prf = hashlib.blake2b(

@@ -172,22 +172,27 @@ def random_bipartition(M1: Matching, n: int, seed: int) -> Bipartition:
 class Boundary:
     """The seed-independent part of the general second pass, shared by all
     bipartition draws: the edges with exactly one M1-matched endpoint, in
-    edge order, each as (matched endpoint, free endpoint, 1 iff the matched
-    endpoint is "r"), and `free`, their distinct free endpoints in the
-    order the edges first reach them. Built in one O(m) pass; each draw
-    over it then costs O(|B|), for B the boundary."""
+    edge order, each as (matched endpoint, index of the free endpoint in
+    `free`, 1 iff the matched endpoint is "r"), and `free`, their distinct
+    free endpoints in the order the edges first reach them. Built in one
+    O(m) pass. `draws` holds each draw computed over it, keyed by b and
+    the coins of `free` (see `second_pass_general`); it lives and dies
+    with the boundary, which each query builds afresh, so no draw
+    outlives one estimate."""
 
     def __init__(self, edges: Iterable[Edge], M1: Matching):
         partner = self.partner = M1.partner
         self.edges: List[Tuple[int, int, int]] = []
-        seen: Dict[int, None] = {}
+        index: Dict[int, int] = {}
         for (u, v) in edges:
             if (u in partner) == (v in partner):
                 continue
             m, free = (u, v) if u in partner else (v, u)
-            seen[free] = None
-            self.edges.append((m, free, int(m > partner[m])))
-        self.free: List[int] = list(seen)
+            self.edges.append((m, index.setdefault(free, len(index)),
+                               int(m > partner[m])))
+        self.free: List[int] = list(index)
+        self.draws: Dict[Tuple[int, Tuple[int, ...]],
+                         Tuple[Dict[int, int], int]] = {}
 
 
 def second_pass_general(boundary: Boundary, part: Bipartition, b: int
@@ -198,34 +203,43 @@ def second_pass_general(boundary: Boundary, part: Bipartition, b: int
     free M2 partner, in the order the copies were taken; with cap 1 on the
     matched side, each M2 edge has one copy. kappa is |M1_hat|, the number
     of M1 edges with both endpoints matched in M2, counted as each M1
-    edge's second endpoint is taken. Each free boundary vertex's coin is
-    computed once, then one loop takes the copies and one re-checks
-    maximality (raises NotMaximal): O(|B|), with no term in n, the highest
-    free id or |M1|. A free capacity b < 1 raises ValueError, also on an
-    empty boundary."""
+    edge's second endpoint is taken.
+
+    The draw depends on the seed only through the coins of the free
+    boundary vertices, each computed once. A (b, coins) pattern already
+    in `boundary.draws` returns its stored result, whose `mate` is shared
+    and read-only. Otherwise one loop takes the copies and one re-checks
+    maximality (raises NotMaximal), O(|B|) with no term in n, the highest
+    free id or |M1|, and the result is stored. A free capacity b < 1
+    raises ValueError, also on an empty boundary."""
     if b < 1:
         raise ValueError(f"free capacity b={b} must be positive")
-    entries = boundary.edges
     seed = part.seed
-    coins = {v: coin(seed, v) for v in boundary.free}
+    coins = tuple([coin(seed, v) for v in boundary.free])
+    key = (b, coins)
+    drawn = boundary.draws.get(key)
+    if drawn is not None:
+        return drawn
+    entries = boundary.edges
+    free = boundary.free
     partner = boundary.partner
     mate: Dict[int, int] = {}
-    load: Dict[int, int] = {}
+    load = [0] * len(free)
     kappa = 0
-    for m, free, right in entries:
-        if coins[free] == right or m in mate:
+    for m, i, right in entries:
+        if coins[i] == right or m in mate:
             continue
-        taken = load.get(free, 0)
+        taken = load[i]
         if taken < b:
-            mate[m] = free
-            load[free] = taken + 1
+            mate[m] = free[i]
+            load[i] = taken + 1
             if partner[m] in mate:
                 kappa += 1
-    for m, free, right in entries:
-        if (coins[free] != right and m not in mate
-                and load.get(free, 0) < b):
-            raise NotMaximal(f"b-matching not maximal at ({m},{free})")
-    return mate, kappa
+    for m, i, right in entries:
+        if coins[i] != right and m not in mate and load[i] < b:
+            raise NotMaximal(f"b-matching not maximal at ({m},{free[i]})")
+    drawn = boundary.draws[key] = mate, kappa
+    return drawn
 
 
 def disjoint_augmenting_paths(M1_hat: Sequence[Edge], mate: Dict[int, int]
@@ -284,9 +298,7 @@ def general_two_pass(edges: Sequence[Edge], n: int, b: int = B_GENERAL,
     over the bipartition seed the value is >= (1/2 + 1/144) * mu(G) at b = 9.
     A seed that is not an int raises ValueError.
     """
-    # a float seed would fail only in the first coin, and a bool is no seed
-    if type(seed) is not int:
-        raise ValueError(f"seed={seed!r} is not an integer")
+    oracles.check_seed(seed)
     edges = list(edges)
     m1 = first_pass_matching(edges)
     part = random_bipartition(m1, n, seed)

@@ -24,7 +24,7 @@ from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple)
 
 from .graph import DynamicGraph, Matching, first_pass_matching
-from .oracles import RankFunction, greedy_maximal_matching
+from .oracles import RankFunction, check_seed, greedy_maximal_matching
 
 
 class BudgetExceeded(Exception):
@@ -377,8 +377,10 @@ def mm_size_estimate(g: DynamicGraph, eps: float, seed: int,
 
     When n is below the concentration-validity threshold, computes mu~ exactly
     as the global greedy matching under the seeded ranks (the estimate is then
-    exact, which only tightens the window).
+    exact, which only tightens the window). A seed that is not an int
+    raises ValueError, whatever the graph.
     """
+    check_seed(seed)
     if not (0 < eps < 0.5):
         raise ValueError("eps must be in (0, 1/2)")
     n = g.n
@@ -463,8 +465,10 @@ def estimate_pair_matched(g: DynamicGraph, m_star: Matching, eps: float,
     (delta = eps^2/8), and returns X*|M*|/L - n*eps^2/2, clamped at 0. Below
     the validity threshold it instead counts exactly the M* edges whose
     endpoints are both matched by the base graph's greedy maximal matching
-    under the seeded ranks. eps must lie in (0, 1).
+    under the seeded ranks. eps must lie in (0, 1), and a seed that is not
+    an int raises ValueError, whatever the graph and M*.
     """
+    check_seed(seed)
     if not (0 < eps < 1):
         raise ValueError("eps must be in (0, 1)")
     n = g.n

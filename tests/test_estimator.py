@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -14,7 +15,8 @@ from dynmatch.estimator import (ContractedMember, ContractionFamily, Estimator,
                                 general_query)
 from dynmatch.harness import generate_workload
 from dynmatch.streaming import (B_BIPARTITE, B_GENERAL, DELTA, Boundary,
-                                SecondPassConfig, disjoint_augmenting_paths,
+                                SecondPassConfig, coin,
+                                disjoint_augmenting_paths,
                                 random_bipartition, second_pass_bipartite,
                                 second_pass_general)
 
@@ -151,8 +153,10 @@ def test_general_query_examples():
     tri = build(3, [(0, 1), (1, 2), (0, 2)])
     draws, reads = general_query(tri, Matching([(0, 1)]), 9, range(8))
     assert all(nu == 1.0 for nu, _ in draws)
-    # the 3 edges once, then the 2 boundary edges (0, 2) and (1, 2) per draw
-    assert reads == 3 + 8 * 2
+    # the 3 edges once, free vertex 2's coin per seed, and the 2 boundary
+    # edges (0, 2) and (1, 2) once for each coin value seeds 0-7 give it
+    assert {coin(seed, 2) for seed in range(8)} == {0, 1}
+    assert reads == 3 + 8 * 1 + 2 * 2
     c6 = build(6, [(i, (i + 1) % 6) for i in range(6)])
     m1 = Matching([(0, 1), (2, 3), (4, 5)])
     [(nu, _)], _ = general_query(c6, m1, 9, [0])
@@ -487,3 +491,70 @@ def test_bipartite_colouring_runs_only_when_the_mix_would_serve(monkeypatch):
     assert bipartite_query(tri, Matching([(0, 1)]), spc) == (
         1.0, 0.0, 2 * tri.m + tri.n)
     assert len(calls) == 1
+
+
+# -- served values pinned by digest ----------------------------------------
+
+
+def _planted_paths(n, seed):
+    """Disjoint paths a-u-v-b, each inserted middle edge first, with a
+    query after each path and after each random deletion: the bipartite
+    mix serves on most of them."""
+    rng = random.Random(seed)
+    events, live = [], []
+    for a in range(0, n - 3, 4):
+        for e in [(a + 1, a + 2), (a, a + 1), (a + 2, a + 3)]:
+            events.append(UpdateEvent("i", *e))
+            live.append(e)
+        events.append(UpdateEvent("q"))
+        if rng.random() < 0.3:
+            e = live.pop(rng.randrange(len(live)))
+            events += [UpdateEvent("d", *e), UpdateEvent("q")]
+    return events
+
+
+def _golden_streams():
+    """(n, reps, seed, events) in each mode: reps 25 at n = 60 with an
+    estimate after every update, then reps 5-7 at n = 300, 400 and 2048."""
+    for mode in ("bipartite", "general", "tradeoff"):
+        for workload, n, density, horizon, every, reps, seed in (
+                ("random-er", 60, 0.15, 800, 1, 25, 1),
+                ("random-bipartite", 300, 0.05, 1500, 10, 5, 2),
+                ("random-er", 2048, 0.001, 1500, 25, 7, 3)):
+            yield mode, n, reps, seed, generate_workload(
+                workload, n, seed, horizon=horizon, density=density,
+                query_every=every)
+        yield mode, 400, 6, 4, _planted_paths(400, 4)
+
+
+# SHA-256 of every estimate of `_golden_streams`, recorded before general
+# repetitions that draw the same coins shared one draw
+GOLDEN_DIGEST = (
+    "c8afb26697e63096c8b9e5e72a3da5606a1f21717355a4c90ead1f557fbe8a20")
+
+
+def served_values_digest():
+    """SHA-256 over every estimate of the golden streams: its stamp, nu
+    and rep_values by float.hex, and its sorted components."""
+    h = hashlib.sha256()
+    for mode, n, reps, seed, events in _golden_streams():
+        est = Estimator(n, EstimatorConfig(mode=mode, eps=0.25, seed=seed,
+                                           reps=reps))
+        h.update(f"{mode} {n}\n".encode())
+        for ev in events:
+            if ev.kind != "q":
+                est.apply(ev)
+                continue
+            se = est.estimate()
+            h.update(" ".join(
+                [str(se.timestamp), se.nu.hex()]
+                + [v.hex() for v in se.rep_values]
+                + [repr(sorted(se.components.items()))]).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_served_values_match_the_golden_digest():
+    """Bipartite, general and tradeoff values, repetition by repetition,
+    are those recorded: a change of speed that changes no value leaves
+    the digest as it is."""
+    assert served_values_digest() == GOLDEN_DIGEST

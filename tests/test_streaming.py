@@ -370,7 +370,8 @@ def test_general_pass_rejects_nonpositive_b_on_a_boundary(b):
     g = build(4, [(0, 1), (1, 2), (2, 3)])
     m1 = Matching([(1, 2)])
     boundary = Boundary(list(g.edges()), m1)
-    assert boundary.edges == [(1, 0, 0), (2, 3, 1)]
+    # each entry names its free endpoint by its index in `free`
+    assert boundary.edges == [(1, 0, 0), (2, 1, 1)]
     assert boundary.free == [0, 3]
     # an edgeless graph has an empty boundary, and b is still checked
     empty = build(4, [])
@@ -475,6 +476,36 @@ def test_a_draw_computes_one_coin_per_free_boundary_vertex(monkeypatch):
     assert calls == boundary.free * 25
 
 
+def test_repetitions_with_equal_coins_share_one_draw():
+    """A draw reads the seed only through the coins of the free boundary
+    vertices: with one free vertex, 25 seeds compute at most 2 draws, and
+    each repetition still gets the draw a fresh boundary gives its seed.
+    One boundary drawn at b = 1 and then b = 9 computes each b's own."""
+    n = 6
+    m1 = Matching([(0, 1), (3, 4)])
+    edges = [(0, 1), (3, 4), (0, 5), (1, 5), (3, 5), (4, 5)]
+    boundary = Boundary(edges, m1)
+    assert boundary.free == [5]
+    seeds = [estimator._mix(7, r, 40) for r in range(25)]
+    first = {}
+    for seed in seeds:
+        part = random_bipartition(m1, n, seed)
+        drawn = second_pass_general(boundary, part, B_GENERAL)
+        assert drawn == second_pass_general(Boundary(edges, m1), part,
+                                            B_GENERAL)
+        # a repeated pattern returns the stored draw, not a recomputed one
+        assert first.setdefault(coin(seed, 5), drawn) is drawn
+    assert len(first) == 2 and len(boundary.draws) == 2
+    # free vertex 5 on side "r" crosses to 0 and 3, its b copies
+    seed = next(s for s in seeds if coin(s, 5) == 1)
+    part = random_bipartition(m1, n, seed)
+    boundary = Boundary(edges, m1)
+    assert second_pass_general(boundary, part, 1) == ({0: 5}, 0)
+    assert second_pass_general(boundary, part, B_GENERAL) == (
+        {0: 5, 3: 5}, 0)
+    assert len(boundary.draws) == 2
+
+
 def _estimate_matches_dense_reference(est):
     """Compare one estimate with the dense per-draw reference, on the same
     M1 and the same per-repetition seeds; return that M1's boundary."""
@@ -508,7 +539,7 @@ def test_shared_query_estimate_matches_dense_reference(mode):
     # the only boundary edge reads one coin, that of free id 9
     est = fresh(10, [(0, 1), (1, 9)])
     bd = _estimate_matches_dense_reference(est)
-    assert bd.edges == [(1, 9, 1)] and bd.free == [9]
+    assert bd.edges == [(1, 0, 1)] and bd.free == [9]
     # an update that changes only the boundary: M1 stays, the served
     # values follow the new boundary
     before = est.estimate().rep_values

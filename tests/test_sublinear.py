@@ -273,6 +273,31 @@ def test_seeded_estimates_reject_a_seed_that_is_not_an_int():
             mm_size_estimate(g, 0.4, seed)
 
 
+def test_samplers_refuse_a_bad_seed_before_any_early_return():
+    """The seed is checked at entry, by RankFunction's rule: the early
+    zeros (an edgeless graph, an M* of at most eps^2 n edges) and the
+    exact fallback refuse it as the sampling path does."""
+    edgeless = DynamicGraph(8)
+    g = build(8, [(i, 4 + i) for i in range(4)])
+    mstar = Matching([(i, 4 + i) for i in range(4)])
+    for seed in (1.5, True, False, "1", None):
+        for graph in (DynamicGraph(0), edgeless, g):
+            for forced in (False, True):
+                with pytest.raises(ValueError, match="seed"):
+                    mm_size_estimate(graph, 0.4, seed, budget=BIG,
+                                     force_sampling=forced)
+        for graph, m in ((edgeless, Matching()), (g, Matching()),
+                         (g, mstar)):
+            for forced in (False, True):
+                with pytest.raises(ValueError, match="seed"):
+                    estimate_pair_matched(graph, m, 0.5, seed,
+                                          sample_constant=4, budget=BIG,
+                                          force_sampling=forced)
+    # the same early returns still serve 0 under an int seed
+    assert mm_size_estimate(edgeless, 0.4, 1) == 0.0
+    assert estimate_pair_matched(edgeless, Matching(), 0.5, 1) == 0.0
+
+
 def test_sampling_path_agrees_with_materialized_reference():
     n, k = 10, 5
     eps = 0.5
