@@ -23,7 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .graph import DynamicGraph, Edge, Matching, UpdateEvent, norm_edge
 from . import oracles
 from .amm import AMMMaintainer, DynamicMaximalMatching
-from .streaming import (B_GENERAL, Boundary, SecondPassConfig,
+# random_bipartition is imported for callers that look it up in this module,
+# such as the benchmark's tracer
+from .streaming import (B_GENERAL, Boundary, SecondPassConfig, coin_word,
                         random_bipartition, second_pass_bipartite,
                         second_pass_general)
 
@@ -194,27 +196,44 @@ def bipartite_query(g: DynamicGraph, m1: Matching, spc: SecondPassConfig
 
 
 def general_query(g: DynamicGraph, m1: Matching, b: int,
-                  seeds: Sequence[int]) -> Tuple[List[Tuple[float, int]], int]:
-    """([(|M1| + kappa/b, kappa) per bipartition seed], reads), with kappa =
+                  seeds: Sequence[int], reps: int
+                  ) -> Tuple[List[Tuple[float, int]], int]:
+    """([(|M1| + kappa/b, kappa) per repetition], reads), with kappa =
     |M1_hat|, the number of M1 edges whose endpoints both got matched in the
     second pass (a subset of M1, so kappa <= |M1|). Deterministically
     <= mu(g): at least kappa/b of those edges carry vertex-disjoint
     3-augmenting paths (`streaming.disjoint_augmenting_paths`). One
-    boundary, built in one O(m) read of the live edges, serves every seed.
-    Each seed computes one coin per free boundary vertex from (seed,
-    vertex id) (`streaming.coin`), and only each distinct pattern of those
-    coins runs the O(|B|) pass; seeds with equal coins share its draw.
-    `reads` charges exactly that: the m edges, the coins of every seed,
-    and the boundary entries of every draw that ran."""
+    boundary, built in one O(m) read of the live edges, serves every
+    repetition.
+
+    Repetition r draws from block r // 64, whose seed is `seeds[r // 64]`:
+    each block computes one word per free boundary vertex from (seed,
+    vertex id) (`streaming.coin_word`), and r's coin for that vertex is
+    bit 63 - r % 64 of its word. Repetition 0's coin is thus
+    `streaming.coin(seeds[0], v)`. Only each distinct pattern of coins
+    runs the O(|B|) pass (`streaming.second_pass_general`); repetitions
+    with equal coins share its kappa. `reads` charges the m edges, |free|
+    coins per repetition, and the boundary entries of every draw that ran.
+    There must be exactly one seed per block of 64 repetitions, else
+    ValueError."""
+    if reps < 1 or len(seeds) != -(-reps // 64):
+        raise ValueError(f"{len(seeds)} seeds for {reps} repetitions")
     boundary = Boundary(g.edges(), m1)
+    free = boundary.free
     size = len(m1)
+    kappas: Dict[Tuple[int, ...], int] = {}  # coin pattern -> kappa
     out = []
-    for seed in seeds:
-        _, kappa = second_pass_general(
-            boundary, random_bipartition(m1, g.n, seed), b)
-        out.append((size + kappa / b, kappa))
-    return out, (g.m + len(seeds) * len(boundary.free)
-                 + len(boundary.draws) * len(boundary.edges))
+    for q, seed in enumerate(seeds):
+        words = [coin_word(seed, v) for v in free]
+        for r in range(64 * q, min(reps, 64 * q + 64)):
+            shift = 63 - r % 64
+            coins = tuple([w >> shift & 1 for w in words])
+            kappa = kappas.get(coins)
+            if kappa is None:
+                kappa = kappas[coins] = second_pass_general(
+                    boundary, coins, b)[1]
+            out.append((size + kappa / b, kappa))
+    return out, g.m + reps * len(free) + len(kappas) * len(boundary.edges)
 
 
 def combine_amm_and_alpha(m_prime: Matching, m_second: Matching) -> Matching:
@@ -252,8 +271,11 @@ def combine_amm_and_alpha(m_prime: Matching, m_second: Matching) -> Matching:
 # -- top level -------------------------------------------------------------
 
 
-def _mix(seed: int, rep: int, stamp: int) -> int:
-    return (seed * 0x9E3779B97F4A7C15 + rep * 0xC2B2AE3D + stamp) & (2**63 - 1)
+def _mix(seed: int, block: int, stamp: int) -> int:
+    """The coin seed of repetitions 64*block .. 64*block + 63 of the
+    estimate at `stamp`."""
+    return (seed * 0x9E3779B97F4A7C15 + block * 0xC2B2AE3D + stamp) & (
+        2**63 - 1)
 
 
 class Estimator:
@@ -328,8 +350,8 @@ class Estimator:
             # each draw is deterministic; repetitions agree, median = value
             return nu, [nu] * cfg.reps, comp
         b = B_GENERAL if cfg.mode == "general" else B_STAR
-        draws, reads = general_query(
-            g, m1, b, [_mix(cfg.seed, r, stamp) for r in range(cfg.reps)])
+        seeds = [_mix(cfg.seed, q, stamp) for q in range(-(-cfg.reps // 64))]
+        draws, reads = general_query(g, m1, b, seeds, cfg.reps)
         self.query_work += reads
         vals = [nu_r for nu_r, _ in draws]
         return (statistics.fmean(vals), vals,

@@ -131,10 +131,9 @@ class Bipartition:
     """Vertex side labels on [0, n): each M1 edge split deterministically
     (lower id left), free vertices by independent fair coins from the seed.
 
-    Coin contract: free vertex v is "r" iff `coin(seed, v)` is 1, the top
-    bit of SplitMix64's (v+1)-th output from state seed mod 2^64. A coin is
-    computed from (seed, v) alone, so construction is O(1) and each side
-    costs O(1), whatever the id. M1 is read, not copied.
+    Free vertex v is "r" iff `coin(seed, v)` is 1. A coin is computed from
+    (seed, v) alone, so construction is O(1) and each side costs O(1),
+    whatever the id. M1 is read, not copied.
     """
 
     def __init__(self, M1: Matching, n: int, seed: int):
@@ -154,15 +153,22 @@ class Bipartition:
 _MASK64 = (1 << 64) - 1
 
 
-def coin(seed: int, v: int) -> int:
-    """The top bit of SplitMix64's (v+1)-th output from state seed mod 2^64
-    (Steele, Lea & Flood, OOPSLA 2014): z = seed + (v+1)*golden gamma, then
-    the finalizer's xor-shifts and multiplies, all mod 2^64. The last
-    xor-shift (by 31) leaves the top bit alone, so it is not applied."""
+def coin_word(seed: int, v: int) -> int:
+    """SplitMix64's (v+1)-th output from state seed mod 2^64 (Steele, Lea
+    & Flood, OOPSLA 2014): z = seed + (v+1)*golden gamma, then the
+    finalizer's xor-shifts and multiplies, all mod 2^64. Each bit of the
+    word is a fair coin of (seed, v); a general estimate's repetition r
+    reads bit 63 - r % 64 (see `estimator.general_query`)."""
     z = (seed + (v + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z >> 63
+    return z ^ (z >> 31)
+
+
+def coin(seed: int, v: int) -> int:
+    """The top bit of `coin_word(seed, v)`, which the last xor-shift (by
+    31) leaves as it is: the coin of a single draw, and of repetition 0."""
+    return coin_word(seed, v) >> 63
 
 
 def random_bipartition(M1: Matching, n: int, seed: int) -> Bipartition:
@@ -170,15 +176,12 @@ def random_bipartition(M1: Matching, n: int, seed: int) -> Bipartition:
 
 
 class Boundary:
-    """The seed-independent part of the general second pass, shared by all
+    """The coin-independent part of the general second pass, shared by all
     bipartition draws: the edges with exactly one M1-matched endpoint, in
     edge order, each as (matched endpoint, index of the free endpoint in
     `free`, 1 iff the matched endpoint is "r"), and `free`, their distinct
     free endpoints in the order the edges first reach them. Built in one
-    O(m) pass. `draws` holds each draw computed over it, keyed by b and
-    the coins of `free` (see `second_pass_general`); it lives and dies
-    with the boundary, which each query builds afresh, so no draw
-    outlives one estimate."""
+    O(m) pass."""
 
     def __init__(self, edges: Iterable[Edge], M1: Matching):
         partner = self.partner = M1.partner
@@ -191,35 +194,25 @@ class Boundary:
             self.edges.append((m, index.setdefault(free, len(index)),
                                int(m > partner[m])))
         self.free: List[int] = list(index)
-        self.draws: Dict[Tuple[int, Tuple[int, ...]],
-                         Tuple[Dict[int, int], int]] = {}
 
 
-def second_pass_general(boundary: Boundary, part: Bipartition, b: int
+def second_pass_general(boundary: Boundary, coins: Sequence[int], b: int
                         ) -> Tuple[Dict[int, int], int]:
     """One bipartition draw of the general second pass: the maximal
-    b-matching M2 (caps 1 matched / b free) on the boundary edges crossing
-    `part`, as (mate, kappa). `mate` maps each M2-matched M1 vertex to its
-    free M2 partner, in the order the copies were taken; with cap 1 on the
-    matched side, each M2 edge has one copy. kappa is |M1_hat|, the number
-    of M1 edges with both endpoints matched in M2, counted as each M1
-    edge's second endpoint is taken.
+    b-matching M2 (caps 1 matched / b free) on the boundary edges that
+    cross the bipartition, as (mate, kappa). `coins[i]` is the coin of
+    `boundary.free[i]`: the free vertex is "r" iff it is 1. `mate` maps
+    each M2-matched M1 vertex to its free M2 partner, in the order the
+    copies were taken; with cap 1 on the matched side, each M2 edge has one
+    copy. kappa is |M1_hat|, the number of M1 edges with both endpoints
+    matched in M2, counted as each M1 edge's second endpoint is taken.
 
-    The draw depends on the seed only through the coins of the free
-    boundary vertices, each computed once. A (b, coins) pattern already
-    in `boundary.draws` returns its stored result, whose `mate` is shared
-    and read-only. Otherwise one loop takes the copies and one re-checks
-    maximality (raises NotMaximal), O(|B|) with no term in n, the highest
-    free id or |M1|, and the result is stored. A free capacity b < 1
+    A pure function of the boundary, the coins and b: one loop takes the
+    copies and one re-checks maximality (raises NotMaximal), O(|B|) with
+    no term in n, the highest free id or |M1|. A free capacity b < 1
     raises ValueError, also on an empty boundary."""
     if b < 1:
         raise ValueError(f"free capacity b={b} must be positive")
-    seed = part.seed
-    coins = tuple([coin(seed, v) for v in boundary.free])
-    key = (b, coins)
-    drawn = boundary.draws.get(key)
-    if drawn is not None:
-        return drawn
     entries = boundary.edges
     free = boundary.free
     partner = boundary.partner
@@ -238,8 +231,7 @@ def second_pass_general(boundary: Boundary, part: Bipartition, b: int
     for m, i, right in entries:
         if coins[i] != right and m not in mate and load[i] < b:
             raise NotMaximal(f"b-matching not maximal at ({m},{free[i]})")
-    drawn = boundary.draws[key] = mate, kappa
-    return drawn
+    return mate, kappa
 
 
 def disjoint_augmenting_paths(M1_hat: Sequence[Edge], mate: Dict[int, int]
@@ -301,8 +293,9 @@ def general_two_pass(edges: Sequence[Edge], n: int, b: int = B_GENERAL,
     oracles.check_seed(seed)
     edges = list(edges)
     m1 = first_pass_matching(edges)
-    part = random_bipartition(m1, n, seed)
-    m2, _ = second_pass_general(Boundary(edges, m1), part, b)
+    boundary = Boundary(edges, m1)
+    m2, _ = second_pass_general(
+        boundary, [coin(seed, v) for v in boundary.free], b)
     m1_hat = [(u, v) for (u, v) in m1.edges() if u in m2 and v in m2]
     # an M2 edge has exactly one M1-matched endpoint, so it is no M1 edge
     union = DynamicGraph(n)
@@ -312,4 +305,4 @@ def general_two_pass(edges: Sequence[Edge], n: int, b: int = B_GENERAL,
         union.insert(u, v)
     value, _ = oracles.max_matching_exact(union)
     return GeneralTwoPassResult(value=value, M1=m1, M2=m2, M1_hat=m1_hat,
-                                part=part)
+                                part=random_bipartition(m1, n, seed))

@@ -15,10 +15,9 @@ from dynmatch.estimator import (ContractedMember, ContractionFamily, Estimator,
                                 general_query)
 from dynmatch.harness import generate_workload
 from dynmatch.streaming import (B_BIPARTITE, B_GENERAL, DELTA, Boundary,
-                                SecondPassConfig, coin,
+                                SecondPassConfig, coin, coin_word,
                                 disjoint_augmenting_paths,
-                                random_bipartition, second_pass_bipartite,
-                                second_pass_general)
+                                second_pass_bipartite, second_pass_general)
 
 
 def build(n, edges):
@@ -148,18 +147,19 @@ def test_bipartite_query_examples():
 def test_general_query_examples():
     g = build(8, [(i, i + 4) for i in range(4)])
     m1 = Matching([(i, i + 4) for i in range(4)])
-    for nu, kappa in general_query(g, m1, 9, range(5))[0]:
+    for nu, kappa in general_query(g, m1, 9, [0], 5)[0]:
         assert kappa == 0 and nu == 4.0
     tri = build(3, [(0, 1), (1, 2), (0, 2)])
-    draws, reads = general_query(tri, Matching([(0, 1)]), 9, range(8))
-    assert all(nu == 1.0 for nu, _ in draws)
-    # the 3 edges once, free vertex 2's coin per seed, and the 2 boundary
-    # edges (0, 2) and (1, 2) once for each coin value seeds 0-7 give it
-    assert {coin(seed, 2) for seed in range(8)} == {0, 1}
+    draws, reads = general_query(tri, Matching([(0, 1)]), 9, [0], 8)
+    assert len(draws) == 8 and all(nu == 1.0 for nu, _ in draws)
+    # the 3 edges once, free vertex 2's coin per repetition, and the 2
+    # boundary edges (0, 2) and (1, 2) once for each coin value that
+    # repetitions 0-7 read from the top 8 bits of its word
+    assert {coin_word(0, 2) >> (63 - r) & 1 for r in range(8)} == {0, 1}
     assert reads == 3 + 8 * 1 + 2 * 2
     c6 = build(6, [(i, (i + 1) % 6) for i in range(6)])
     m1 = Matching([(0, 1), (2, 3), (4, 5)])
-    [(nu, _)], _ = general_query(c6, m1, 9, [0])
+    [(nu, _)], _ = general_query(c6, m1, 9, [0], 1)
     assert nu == 3.0
 
 
@@ -174,7 +174,7 @@ def test_general_query_lower_bound_certificate():
                     g.insert(u, v)
         m1 = oracles.greedy_maximal_matching(g, oracles.RankFunction(trial))
         mu = oracles.max_matching_size(g)
-        for nu, _ in general_query(g, m1, 9, range(4))[0]:
+        for nu, _ in general_query(g, m1, 9, [trial], 64)[0]:
             assert len(m1) <= nu <= mu + 1e-9
 
 
@@ -205,9 +205,10 @@ def test_general_value_certified_at_served_sizes(mode, n, horizon):
         m1 = est.amm.matching()
         if mode == "tradeoff":
             m1 = combine_amm_and_alpha(m1, est.alpha_source.m)
-        part = random_bipartition(m1, n, _mix(1, 0, est.g.ops))
+        boundary = Boundary(list(est.g.edges()), m1)
+        seed = _mix(1, 0, est.g.ops)
         mate, kappa = second_pass_general(
-            Boundary(list(est.g.edges()), m1), part, b)
+            boundary, [coin(seed, v) for v in boundary.free], b)
         m1_hat = [(u, v) for (u, v) in m1.edges() if u in mate and v in mate]
         assert len(m1_hat) == kappa == se.components["kappa"]
         paths = disjoint_augmenting_paths(m1_hat, mate)
@@ -527,10 +528,12 @@ def _golden_streams():
         yield mode, 400, 6, 4, _planted_paths(400, 4)
 
 
-# SHA-256 of every estimate of `_golden_streams`, recorded before general
-# repetitions that draw the same coins shared one draw
+# SHA-256 of every estimate of `_golden_streams`, re-recorded when general
+# repetition r began reading bit 63 - r % 64 of one word per free vertex:
+# bipartite estimates and every general and tradeoff repetition 0 kept
+# their values
 GOLDEN_DIGEST = (
-    "c8afb26697e63096c8b9e5e72a3da5606a1f21717355a4c90ead1f557fbe8a20")
+    "32d4ce54fc90ec8431667e05c2405c02cf9ed66af6acbf0e7cb161284f5584c7")
 
 
 def served_values_digest():

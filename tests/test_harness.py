@@ -180,6 +180,27 @@ def test_oracle_cadence_counts_rows():
     assert run_stream(bare, 30, cfg, oracle_every=3).rows == []
 
 
+def test_rows_lose_mu_where_the_exact_oracle_is_out_of_range():
+    """Above 64 touched vertices a non-bipartite graph has no exact mu, so
+    its rows carry neither mu nor ratio; at 64 they still do, and a
+    bipartite graph keeps mu at any size."""
+    q = UpdateEvent("q")
+    # a triangle and a path on 3..63: 64 touched vertices, then 65
+    events = [UpdateEvent("i", *e) for e in [(0, 1), (1, 2), (0, 2)]]
+    events += [UpdateEvent("i", v, v + 1) for v in range(3, 63)]
+    events += [q, UpdateEvent("i", 63, 64), q,
+               # no odd cycle left: bipartite, 65 and then 301 touched
+               UpdateEvent("d", 0, 2), q]
+    events += [UpdateEvent("i", v, v + 1) for v in range(64, 300)] + [q]
+    for mode in ("bipartite", "general", "tradeoff"):
+        rows = run_stream(events, 301, EstimatorConfig(
+            mode=mode, eps=0.2, seed=1, reps=3), oracle_every=1).rows
+        assert [("mu" in row, "ratio" in row) for row in rows] == [
+            (True, True), (False, False), (True, True), (True, True)]
+        # one edge of 0, 1, 2 and half of the path from 3 to 63, 64, 300
+        assert [row.get("mu") for row in rows] == [31, None, 32, 150]
+
+
 def test_adaptive_stream_marks_every_read():
     """An adaptive stream holds one `q` per estimate read, and replaying it
     publishes exactly the estimates the adversary read. At density 0.1 the

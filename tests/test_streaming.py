@@ -10,7 +10,7 @@ from dynmatch import estimator, oracles, streaming
 from dynmatch.streaming import (B_BIPARTITE, B_GENERAL, DELTA, Boundary,
                                 NonBipartiteInput, SecondPassConfig,
                                 bipartite_two_pass, bulk_maximal_b_matching,
-                                coin, disjoint_augmenting_paths,
+                                coin, coin_word, disjoint_augmenting_paths,
                                 first_pass_matching, general_two_pass,
                                 random_bipartition, second_pass_general)
 
@@ -253,16 +253,18 @@ def test_disjoint_paths_size_and_disjointness():
 # -- bit identity with the dense per-vertex definitions ----------------------
 
 
-def dense_sides(m1, n, seed):
-    """Reference: one coin per vertex id, in id order; a matched vertex
-    ignores its coin and takes its side from its M1 edge."""
+def dense_sides(m1, n, seed, bit=63):
+    """Reference: one word of sequential SplitMix64 per vertex id, in id
+    order; a free vertex is "r" iff bit `bit` of its word is 1, and a
+    matched vertex ignores its word and takes its side from its M1 edge."""
     side = {}
+    words = splitmix64(seed & MASK64)
     for v in range(n):
-        bit = coin(seed, v)
+        word = next(words)
         if m1.is_matched(v):
             side[v] = "l" if v < m1.partner[v] else "r"
         else:
-            side[v] = "l" if bit == 0 else "r"
+            side[v] = "r" if word >> bit & 1 else "l"
     return side
 
 
@@ -281,8 +283,8 @@ def dense_second_pass_general(edges, m1, side, b, n):
     return bm, m1_hat
 
 
-def dense_general_query(g, m1, b, seed):
-    side = dense_sides(m1, g.n, seed)
+def dense_general_query(g, m1, b, seed, bit=63):
+    side = dense_sides(m1, g.n, seed, bit)
     _, m1_hat = dense_second_pass_general(list(g.edges()), m1, side, b,
                                           g.n)
     kappa = min(len(m1_hat), len(m1))
@@ -347,9 +349,9 @@ def test_sparse_passes_bit_identical_to_dense_reference():
             side = dense_sides(m1, n, seed)
             part = random_bipartition(m1, n, seed)
             assert {v: part.side_of(v) for v in range(n)} == side
+            coins = [coin(seed, v) for v in boundary.free]
             for b in (1, B_GENERAL):
-                part = random_bipartition(m1, n, seed)
-                mate, kappa = second_pass_general(boundary, part, b)
+                mate, kappa = second_pass_general(boundary, coins, b)
                 ref_m2, ref_hat = dense_second_pass_general(edges, m1, side,
                                                             b, n)
                 # cap 1 on the matched side: one copy per M2 edge, and the
@@ -357,9 +359,9 @@ def test_sparse_passes_bit_identical_to_dense_reference():
                 assert list(ref_m2.mult.items()) == [
                     (norm_edge(*e), 1) for e in mate.items()]
                 assert kappa == len(ref_hat)
-                assert estimator.general_query(g, m1, b, [seed])[0] == [
+                assert estimator.general_query(g, m1, b, [seed], 1)[0] == [
                     (len(m1) + kappa / b, kappa)]
-            assert (estimator.general_query(g, m1, B_GENERAL, [seed])[0]
+            assert (estimator.general_query(g, m1, B_GENERAL, [seed], 1)[0]
                     == [dense_general_query(g, m1, B_GENERAL, seed)])
         cases += 1
     assert cases >= 200
@@ -377,11 +379,12 @@ def test_general_pass_rejects_nonpositive_b_on_a_boundary(b):
     empty = build(4, [])
     for seed in range(4):
         with pytest.raises(ValueError):
-            estimator.general_query(g, m1, b, [seed])
+            estimator.general_query(g, m1, b, [seed], 1)
         with pytest.raises(ValueError):
-            second_pass_general(boundary, random_bipartition(m1, 4, seed), b)
+            second_pass_general(boundary,
+                                [coin(seed, v) for v in boundary.free], b)
         with pytest.raises(ValueError):
-            estimator.general_query(empty, Matching(), b, [seed])
+            estimator.general_query(empty, Matching(), b, [seed], 1)
         with pytest.raises(ValueError):
             general_two_pass([], 4, b=b, seed=seed)
 
@@ -423,10 +426,13 @@ def splitmix64(state):
 
 
 def test_coin_is_the_top_bit_of_sequential_splitmix64():
+    """`coin_word` is SplitMix64's (v+1)-th output, and `coin` its top
+    bit."""
     for seed in (0, -1, 2**64 + 5, estimator._mix(7, 3, 12345)):
         outputs = splitmix64(seed & MASK64)
         for v in range(1000):
-            assert coin(seed, v) == next(outputs) >> 63
+            word = coin_word(seed, v)
+            assert word == next(outputs) and coin(seed, v) == word >> 63
 
 
 def _within_3_sigma(hits, trials):
@@ -447,16 +453,40 @@ def test_coins_are_balanced_and_adjacent_ones_independent():
         sum(a == b for a, b in zip(by_stamp, by_stamp[1:])), trials)
 
 
+def test_bits_of_one_word_are_balanced_and_adjacent_ones_independent():
+    """Each repetition of an estimate reads its own bit of one word, so
+    the bits of a word must behave as independent fair coins: over 20,000
+    ids, repetition 0's and 63's bits are balanced, so are all 64 bits
+    together, and adjacent bits agree about half the time, for
+    repetitions 0 and 1 and over all 63 adjacent pairs."""
+    trials = 20_000
+    words = [coin_word(estimator._mix(1, 0, 0), v) for v in range(trials)]
+    for bit in (63, 0):
+        assert _within_3_sigma(sum(w >> bit & 1 for w in words), trials)
+    assert _within_3_sigma(sum(bin(w).count("1") for w in words),
+                           64 * trials)
+    assert _within_3_sigma(sum((w >> 63) == (w >> 62 & 1) for w in words),
+                           trials)
+    # bit i of w ^ (w >> 1) is 1 iff bits i and i + 1 of w differ
+    assert _within_3_sigma(
+        sum(bin((w ^ (w >> 1)) & ((1 << 63) - 1)).count("1")
+            for w in words), 63 * trials)
+
+
 def test_a_draw_computes_one_coin_per_free_boundary_vertex(monkeypatch):
-    """No coin is computed for an id that is not a free boundary vertex,
-    so a draw's cost has no term in n or in the highest free id."""
-    calls = []
+    """A query computes one word per free boundary vertex per block of 64
+    repetitions, and none for an id that is not a free boundary vertex,
+    so its cost has no term in n or in the highest free id. A draw reads
+    the coins it is given and hashes nothing."""
+    calls, hashed = [], []
 
     def counted(seed, v):
         calls.append(v)
-        return coin(seed, v)
+        return coin_word(seed, v)
 
-    monkeypatch.setattr(streaming, "coin", counted)
+    monkeypatch.setattr(estimator, "coin_word", counted)
+    monkeypatch.setattr(streaming, "coin_word",
+                        lambda seed, v: hashed.append(v))
     n = 2**20
     top = n - 1
     m1 = Matching([(0, 1), (2, 3)])
@@ -465,55 +495,105 @@ def test_a_draw_computes_one_coin_per_free_boundary_vertex(monkeypatch):
              (10, 11)]
     boundary = Boundary(edges, m1)
     assert boundary.free == [top] and len(boundary.edges) == 4
-    for seed in range(8):
-        del calls[:]
-        second_pass_general(boundary, random_bipartition(m1, n, seed),
-                            B_GENERAL)
-        assert calls == boundary.free
+    for coins in ([0], [1]):
+        second_pass_general(boundary, coins, B_GENERAL)
     g = build(n, edges)
-    del calls[:]
-    estimator.general_query(g, m1, B_GENERAL, list(range(25)))
-    assert calls == boundary.free * 25
+    for reps, blocks in ((1, 1), (25, 1), (64, 1), (65, 2), (129, 3)):
+        del calls[:]
+        draws, _ = estimator.general_query(g, m1, B_GENERAL,
+                                           list(range(blocks)), reps)
+        assert calls == boundary.free * blocks and len(draws) == reps
+    assert hashed == []
 
 
-def test_repetitions_with_equal_coins_share_one_draw():
-    """A draw reads the seed only through the coins of the free boundary
-    vertices: with one free vertex, 25 seeds compute at most 2 draws, and
-    each repetition still gets the draw a fresh boundary gives its seed.
-    One boundary drawn at b = 1 and then b = 9 computes each b's own."""
-    n = 6
-    m1 = Matching([(0, 1), (3, 4)])
-    edges = [(0, 1), (3, 4), (0, 5), (1, 5), (3, 5), (4, 5)]
+def test_a_query_needs_one_seed_per_block_of_64_repetitions():
+    g = build(4, PATH4)
+    m1 = Matching([(1, 2)])
+    for seeds, reps in (([], 1), ([1], 0), ([1], 65), ([1, 2], 64),
+                        ([1, 2], 129)):
+        with pytest.raises(ValueError, match="repetitions"):
+            estimator.general_query(g, m1, B_GENERAL, seeds, reps)
+
+
+def _bit(seed, v, r):
+    return coin_word(seed, v) >> (63 - r % 64) & 1
+
+
+def test_repetitions_with_equal_coins_share_one_draw(monkeypatch):
+    """A draw reads nothing of the seed but the coins of the free boundary
+    vertices: with two free vertices, a query of 25 repetitions computes
+    one draw per distinct pair of their coins, each repetition still gets
+    its own pair's value, and `reads` charges the draws that ran."""
+    # M1 edge (0, 1), with free 5 at 0 and free 2 at 1: both cross, and
+    # kappa is 1, iff 5 is "r" and 2 is "l"
+    m1 = Matching([(0, 1)])
+    edges = [(0, 1), (0, 5), (1, 2)]
+    g = build(6, edges)
     boundary = Boundary(edges, m1)
-    assert boundary.free == [5]
-    seeds = [estimator._mix(7, r, 40) for r in range(25)]
-    first = {}
-    for seed in seeds:
-        part = random_bipartition(m1, n, seed)
-        drawn = second_pass_general(boundary, part, B_GENERAL)
-        assert drawn == second_pass_general(Boundary(edges, m1), part,
-                                            B_GENERAL)
-        # a repeated pattern returns the stored draw, not a recomputed one
-        assert first.setdefault(coin(seed, 5), drawn) is drawn
-    assert len(first) == 2 and len(boundary.draws) == 2
-    # free vertex 5 on side "r" crosses to 0 and 3, its b copies
-    seed = next(s for s in seeds if coin(s, 5) == 1)
-    part = random_bipartition(m1, n, seed)
-    boundary = Boundary(edges, m1)
-    assert second_pass_general(boundary, part, 1) == ({0: 5}, 0)
-    assert second_pass_general(boundary, part, B_GENERAL) == (
-        {0: 5, 3: 5}, 0)
-    assert len(boundary.draws) == 2
+    assert boundary.free == [5, 2]
+    assert second_pass_general(boundary, (1, 0), 1) == ({0: 5, 1: 2}, 1)
+    assert second_pass_general(boundary, (0, 1), 1) == ({}, 0)
+    drawn = []
+
+    def counted(bd, coins, b):
+        drawn.append(coins)
+        return second_pass_general(bd, coins, b)
+
+    monkeypatch.setattr(estimator, "second_pass_general", counted)
+    seed = estimator._mix(7, 0, 40)
+    pairs = [(_bit(seed, 5, r), _bit(seed, 2, r)) for r in range(25)]
+    assert (1, 0) in pairs and len(set(pairs)) < 25
+    out, reads = estimator.general_query(g, m1, B_GENERAL, [seed], 25)
+    assert sorted(drawn) == sorted(set(pairs)) and drawn[0] == pairs[0]
+    assert out == [(1 + (p == (1, 0)) / B_GENERAL, int(p == (1, 0)))
+                   for p in pairs]
+    assert reads == 3 + 25 * 2 + len(drawn) * 2
+
+
+def test_repetition_r_reads_bit_63_minus_r_mod_64_of_block_r_div_64():
+    """Repetition r of a query takes its coins from bit 63 - r % 64 of
+    the words of block r // 64, so 65 repetitions read a second block; an
+    estimate's block q seed is `_mix(seed, q, stamp)`, its repetitions
+    are a prefix of those of any larger `reps`, and `reps = 1` serves the
+    value of repetition 0, whose coins are `coin`'s."""
+    m1 = Matching([(0, 1)])
+    g = build(6, [(0, 1), (0, 5), (1, 2)])
+    seeds = [estimator._mix(3, q, 17) for q in range(2)]
+    out, _ = estimator.general_query(g, m1, B_GENERAL, seeds, 65)
+    kappas = [int(_bit(seeds[r // 64], 5, r) == 1
+                  and _bit(seeds[r // 64], 2, r) == 0) for r in range(65)]
+    assert [kappa for _, kappa in out] == kappas
+    assert _bit(seeds[1], 5, 64) == coin(seeds[1], 5)
+    rng = random.Random(26)
+    n = 40
+    events = [(rng.randrange(n), rng.randrange(n)) for _ in range(120)]
+    for mode in ("general", "tradeoff"):
+        ests = {reps: estimator.Estimator(n, estimator.EstimatorConfig(
+            mode=mode, eps=0.25, seed=5, reps=reps)) for reps in (1, 25, 65)}
+        for step, (u, v) in enumerate(events):
+            for est in ests.values():
+                if u != v and not est.g.edge_exists(u, v):
+                    est.insert(u, v)
+            if step % 30 == 29:
+                _estimate_matches_dense_reference(ests[65])
+                _estimate_matches_dense_reference(ests[1])
+                values = {reps: est.estimate().rep_values
+                          for reps, est in ests.items()}
+                assert values[65][:25] == values[25]
+                assert values[25][:1] == values[1]
 
 
 def _estimate_matches_dense_reference(est):
     """Compare one estimate with the dense per-draw reference, on the same
-    M1 and the same per-repetition seeds; return that M1's boundary."""
+    M1 and the same per-repetition coins; return that M1's boundary."""
     cfg, g = est.cfg, est.g
     b = B_GENERAL if cfg.mode == "general" else estimator.B_STAR
     m1 = est._live_matching()
     se = est.estimate()
-    ref = [dense_general_query(g, m1, b, estimator._mix(cfg.seed, r, g.ops))
+    # repetition r reads bit 63 - r % 64 of the words of block r // 64
+    ref = [dense_general_query(g, m1, b,
+                               estimator._mix(cfg.seed, r // 64, g.ops),
+                               63 - r % 64)
            for r in range(cfg.reps)]
     assert se.rep_values == [nu for nu, _ in ref]
     assert se.nu == statistics.fmean(nu for nu, _ in ref)

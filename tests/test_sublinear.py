@@ -121,6 +121,47 @@ def test_budget_breach_redraws_once():
                           RankFunction(0), QueryBudget(1), o)
 
 
+def test_standard_budget_formula_and_sampler_default(monkeypatch):
+    """`QueryBudget.standard(n)` allows int(50 ln(n + 2)^2) probes per
+    status query, and both samplers fall back to it at budget=None: a
+    default patched too tight breaches, as the explicit budget does."""
+    for n, probes in ((0, 24), (8, 265), (12, 348), (1000, 2387)):
+        assert QueryBudget.standard(n) == QueryBudget(max_probes=probes)
+        assert probes == int(50 * math.log(n + 2) ** 2)
+    rng = random.Random(3)
+    g = build(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
+                   if rng.random() < 0.3])
+    g8 = build(8, [(i, 4 + i) for i in range(4)])
+    mstar = Matching([(i, 4 + i) for i in range(4)])
+    standard = QueryBudget.standard
+    asked = []
+
+    def default(n, cap=None):
+        asked.append(n)
+        return QueryBudget(cap) if cap else standard(n)
+
+    monkeypatch.setattr(QueryBudget, "standard", staticmethod(default))
+    assert (mm_size_estimate(g, 0.4, 0, force_sampling=True)
+            == mm_size_estimate(g, 0.4, 0, standard(12),
+                                force_sampling=True))
+    assert (estimate_pair_matched(g8, mstar, 0.5, 0, sample_constant=4,
+                                  force_sampling=True)
+            == estimate_pair_matched(g8, mstar, 0.5, 0, sample_constant=4,
+                                     budget=standard(8),
+                                     force_sampling=True) == 3.0)
+    assert asked == [12, 8]
+    # the caps that breach in `test_budget_breach_redraws_once`
+    for cap, run in ((70, lambda: mm_size_estimate(g, 0.4, 0,
+                                                   force_sampling=True)),
+                     (30, lambda: estimate_pair_matched(
+                         g8, mstar, 0.5, 0, sample_constant=4,
+                         force_sampling=True))):
+        monkeypatch.setattr(QueryBudget, "standard",
+                            staticmethod(lambda n, cap=cap: QueryBudget(cap)))
+        with pytest.raises(BudgetExceeded):
+            run()
+
+
 def test_supergraph_sizes_and_rules():
     g = build(5, [(0, 1), (1, 2), (3, 4)])
     o = AdjacencyOracle(g)
