@@ -1,8 +1,9 @@
 """Dynamic estimation of maximum matching size under edge updates.
 
 Maintains a value nu with nu <= mu(G) <= alpha * nu, alpha ~ 1.707 + eps on
-bipartite graphs and ~1.973 + eps in general, via approximately-maximal
-matchings and two-pass augmentation counting over the live graph.
+bipartite graphs and ~1.973 + eps in general, via a maintained maximal
+matching with no 3-augmenting path (so also mu <= 1.5 nu in every mode) and
+two-pass augmentation counting over the live graph.
 """
 
 from .graph import (BMatching, DynamicGraph, Matching, UpdateEvent,

@@ -1,4 +1,9 @@
-"""Robust maintenance of an approximately-maximal matching.
+"""Maintenance of the first-pass matching, and the paper's kernel library.
+
+The served first-pass matching M1 comes from `AMMMaintainer`, a local repair
+that keeps it maximal and free of augmenting paths of length 3 after every
+update, in O(deg^2) neighbour reads. That certifies |M1| >= (2/3)mu at any
+size, which `check_two_thirds` checks in O(n + m).
 
 The paper's kernel pipeline is kept as a library, with one validator per
 object: an approximately-maximal fractional matching (AMfM, a plain
@@ -8,25 +13,22 @@ kernel (`validate_kernel`) -> static matching extraction with an explicit
 removal witness. The paper's sparsifier samples colour classes at
 each level; under the provider's degree bound d every sample would cover its
 level's whole palette, so `edge_color_and_sparsify` takes every level
-wholesale and the kernel is every live edge ordered by level. The maintainer
-rebuilds, at every matching size, with one greedy pass over the live edges
-in that order (`level_ordered_edges`), without running the pipeline: the
-greedy pass alone makes the matching maximal in the live graph, so it needs
-neither the extraction's max-weight step over high-degree vertices nor its
-witness. An eager repair rule keeps the live matching exactly maximal
-between the periodic rebuilds.
+wholesale and the kernel is every live edge ordered by level.
+`AMMMaintainer.rebuild`, which no update calls, is one greedy pass over the
+live edges in that order (`level_ordered_edges`) followed by the repair's
+augmenting sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from .graph import (DynamicGraph, Edge, Matching, UpdateEvent,
-                    first_pass_matching, norm_edge)
+from .graph import (DynamicGraph, Edge, GraphError, Matching, NotMaximal,
+                    UpdateEvent, first_pass_matching, norm_edge)
 
 
 class ValidationFailed(Exception):
@@ -280,9 +282,9 @@ class DynamicMaximalMatching:
     Insert: match when both endpoints are free. Delete of a matched edge:
     rematch both endpoints against their free neighbors. Maximality is
     preserved exactly (every uncovered edge would have had a free endpoint
-    pair, which the repair rule eliminates). `AMMMaintainer` inherits this
-    rule; the estimator's tradeoff source and the contracted copies of the
-    contraction library use it directly. `work` counts the neighbours the
+    pair, which the repair rule eliminates). `AMMMaintainer` extends this
+    rule with its augmenting searches; the estimator's tradeoff source and
+    the contracted copies of the contraction library use it directly. `work` counts the neighbours the
     repairs read.
     """
 
@@ -313,18 +315,101 @@ class DynamicMaximalMatching:
         return reads
 
 
-class AMMMaintainer(DynamicMaximalMatching):
-    """Periodically rebuilt maintainer registered as a graph listener.
+class ShortAugmentingPath(Exception):
+    """A matching edge u=v whose ends have distinct free neighbours x and y:
+    x-u=v-y is an augmenting path of length 3."""
 
-    Between rebuilds the inherited repair rule keeps the live matching `m`
-    maximal. A countdown, armed at construction and after every rebuild,
-    schedules the next rebuild eps*mu_hat/3 updates later, with
-    mu_hat = 2|M| (a <=3-approximation since the live matching is maximal);
-    `rebuild` recomputes the matching from the live graph and swaps it in.
-    The latest rebuild's report is kept for checkpoint audits: `empty` on an
-    edgeless graph, otherwise `branch="kernel"` and the `kernel_edges` it
-    read. `work` charges 1 per update, the neighbours its repair reads, and
-    g.m per rebuild.
+
+def _free_ends(g: DynamicGraph, partner: Dict[int, int], u: int, v: int
+               ) -> Tuple[Optional[int], Optional[int], int]:
+    """(x, y, reads): a free neighbour x of u and a free neighbour y != x
+    of v, or (None, None, reads) when there are none; `reads` counts the
+    neighbours read. O(deg u + deg v)."""
+    reads = 0
+    first = second = None
+    for w in g.neighbors(u):
+        reads += 1
+        if w not in partner:
+            if first is not None:
+                second = w
+                break
+            first = w
+    if first is not None:
+        for w in g.neighbors(v):
+            reads += 1
+            if w not in partner:
+                if w != first:
+                    return first, w, reads
+                if second is not None:
+                    return second, w, reads
+    return None, None, reads
+
+
+def augment_short_paths(g: DynamicGraph, m: Matching) -> int:
+    """Augment a maximal matching m of g in place until it has no augmenting
+    path of length 3; returns the neighbours read.
+
+    One sweep over m's edges suffices: augmenting x-u=v-y matches two
+    vertices that were free in a maximal matching, so all their neighbours
+    are matched and neither new edge can carry a path, and the free
+    vertices only get fewer, so an edge found without a path keeps none.
+    O(n + g.m)."""
+    reads = 0
+    for (u, v) in m.edges():
+        x, y, r = _free_ends(g, m.partner, u, v)
+        reads += r
+        if x is not None:
+            m.remove(u, v)
+            m.add(x, u)
+            m.add(v, y)
+    return reads
+
+
+def check_two_thirds(g: DynamicGraph, m: Matching) -> None:
+    """Check that m certifies |m| >= (2/3)mu(g): every edge of m is live,
+    m is maximal, and no edge of m carries an augmenting path of length 3
+    (Hopcroft & Karp, 1973). Raises GraphError for an edge of m that is
+    not in g, NotMaximal for an edge of g with two free ends and
+    ShortAugmentingPath for a 3-augmenting path. O(n + g.m)."""
+    partner = m.partner
+    for (u, v) in m.edges():
+        if not _is_edge(g, u, v):
+            raise GraphError(f"matched edge ({u},{v}) is not in g")
+    for (u, v) in g.edges():
+        if u not in partner and v not in partner:
+            raise NotMaximal(f"matching not maximal at ({u},{v})")
+    for (u, v) in m.edges():
+        x, y, _ = _free_ends(g, partner, u, v)
+        if x is not None:
+            raise ShortAugmentingPath(
+                f"{x}-{u}={v}-{y} augments the matching")
+
+
+class AMMMaintainer(DynamicMaximalMatching):
+    """The first-pass matching M1, maximal and free of augmenting paths of
+    length 3 after every update, registered as a graph listener.
+
+    Such a matching has |M| >= (2/3)mu (Hopcroft & Karp, 1973), so every
+    mode's estimate, which is at least |M1|, has mu <= 1.5 nu. The rule is
+    a local repair (after Neiman & Solomon, STOC 2013); it keeps M1
+    maximal, so a free vertex has only matched neighbours:
+
+    - an insert matches two free endpoints; they had no free neighbour, so
+      the new edge carries no path. An insert (x, a) with x free and a
+      matched to b augments x-a=b-y if b has a free neighbour y != x;
+    - a matched-edge delete runs the inherited rematch on both endpoints,
+      then each endpoint that stayed free tries x-a=b-y through every
+      neighbour a. Both rematches come first, so a rematched edge whose
+      far end can reach the other, still free endpoint is found from
+      that endpoint.
+
+    An augmentation matches two vertices that were free, and so carries no
+    new path. An update thus augments at most twice and reads O(deg^2)
+    neighbours; `work` charges 1 per update and every neighbour read.
+    `rebuild`, which no update calls, recomputes the matching from the
+    live graph, swaps it in and restores the invariant; its report is
+    `empty` on an edgeless graph, otherwise `branch="kernel"` and the
+    `kernel_edges` it read.
     """
 
     def __init__(self, g: DynamicGraph, eps: float):
@@ -332,32 +417,66 @@ class AMMMaintainer(DynamicMaximalMatching):
         self.eps = eps
         self.rebuild_count = 0
         self.last_rebuild_report: dict = {}
-        self._arm()
 
     def matching(self) -> Matching:
         return self.m
 
-    def _arm(self) -> None:
-        """Updates until the next rebuild: eps*mu_hat/3, at least 1."""
-        self._countdown = max(1, int(self.eps * max(1, 2 * len(self.m)) / 3))
-
     # -- update path -------------------------------------------------------
 
     def on_update(self, g: DynamicGraph, ev: UpdateEvent) -> None:
-        self.work += 1
-        # an explicit base call: cheaper than super() on every update
-        DynamicMaximalMatching.on_update(self, g, ev)
-        self._countdown -= 1
-        if self._countdown == 0:
-            self.rebuild()
+        partner = self.m.partner
+        u, v = ev.u, ev.v
+        work = 1
+        if ev.kind == "i":
+            if u not in partner:
+                if v not in partner:
+                    self.m.add(u, v)
+                else:
+                    work += self._augment_via(g, u, v)
+            elif v not in partner:
+                work += self._augment_via(g, v, u)
+        elif partner.get(u) == v:
+            self.m.remove(u, v)
+            work += self._rematch(g, u) + self._rematch(g, v)
+            for x in (u, v):
+                if x not in partner:
+                    work += self._augment_from(g, x)
+        self.work += work
+
+    def _augment_via(self, g: DynamicGraph, x: int, a: int) -> int:
+        """Augment x-a=b-y, for free x and a matched to b, along b's first
+        free neighbour y != x; returns the neighbours read."""
+        partner = self.m.partner
+        b = partner[a]
+        reads = 0
+        for reads, y in enumerate(g.neighbors(b), 1):
+            if y not in partner and y != x:
+                self.m.remove(a, b)
+                self.m.add(x, a)
+                self.m.add(b, y)
+                break
+        return reads
+
+    def _augment_from(self, g: DynamicGraph, x: int) -> int:
+        """Augment from a free x whose neighbours are all matched through
+        the first neighbour that leads to a path; returns the neighbours
+        read."""
+        partner = self.m.partner
+        reads = 0
+        for a in g.neighbors(x):
+            reads += 1 + self._augment_via(g, x, a)
+            if x in partner:
+                break
+        return reads
 
     def rebuild(self) -> None:
         """Recompute the matching from the live graph and swap it in.
 
         It is one greedy maximal matching over the live edges in the order
         of `level_ordered_edges`, the kernel the library pipeline would
-        return. Each live edge is read a constant number of times, so a
-        rebuild is charged g.m.
+        return, then one `augment_short_paths` sweep. Each live edge is
+        read a constant number of times, so a rebuild is charged g.m plus
+        the sweep's reads.
         """
         g = self.g
         self.rebuild_count += 1
@@ -367,6 +486,6 @@ class AMMMaintainer(DynamicMaximalMatching):
             self.last_rebuild_report = {"empty": True}
         else:
             self.m = first_pass_matching(level_ordered_edges(g, self.eps))
+            self.work += augment_short_paths(g, self.m)
             self.last_rebuild_report = {"branch": "kernel",
                                         "kernel_edges": g.m}
-        self._arm()

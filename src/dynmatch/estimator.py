@@ -1,10 +1,12 @@
 """Top-level dynamic matching-size estimators.
 
-Every estimate queries the live graph, with the maintained approximately-
-maximal matching as the first matching M1, through the two-pass machinery:
-the bipartite mixing formula (floored at |M1|, which is itself a certified
-lower bound), the bipartition/b-matching count for general graphs, and the
-matching combiner for the approximation/maximality tradeoff.
+Every estimate queries the live graph, with the maintained first-pass
+matching as M1, through the two-pass machinery: the bipartite mixing
+formula (floored at |M1|, which is itself a certified lower bound), the
+bipartition/b-matching count for general graphs, and the matching combiner
+for the approximation/maximality tradeoff. The maintainer keeps M1 maximal
+with no augmenting path of length 3, so |M1| >= (2/3)mu and every mode's
+estimate has mu <= 1.5 nu.
 
 The paper's hash-contracted graph copies stay below as a tested library.
 They exist so that a sampled query costs time tracking mu; here queries
@@ -282,6 +284,11 @@ class Estimator:
     """Dynamic size estimator: owns the graph, the matching maintainer, and
     (in tradeoff mode) the alpha-approximate provider, a second maximal
     matching (alpha = 2), whose bound the combination improves to `BETA`.
+
+    The maintainer's matching is maximal and has no augmenting path of
+    length 3 after every update, at O(deg^2) reads per update, so its size
+    is at least (2/3)mu. Every mode serves at least that size, so mu <=
+    1.5 nu at every estimate.
 
     estimate() is read-only, available after every update, and queries the
     live graph at most once, with the maintained matching as M1 (combined

@@ -22,10 +22,11 @@ from .estimator import ALPHA, B_STAR, BETA, Estimator, EstimatorConfig
 
 REPORT_VERSION = 1
 
-# recorded in every report: the maintainer recomputes its matching per epoch,
-# so update-time guarantees are amortized per epoch; queries replay the live
-# edge set exactly instead of sampling it.
-DEVIATIONS = ["amortized-provider", "exact-query-replay"]
+# recorded in every report: the first-pass matching comes from a local
+# repair that keeps it maximal and free of 3-augmenting paths, with no
+# fractional provider; queries replay the live edge set exactly instead of
+# sampling it.
+DEVIATIONS = ["local-repair-matching", "exact-query-replay"]
 
 
 class InvalidParams(Exception):
@@ -180,8 +181,11 @@ class AdaptiveAdversary:
         events: List[UpdateEvent] = []
         aggressive = rose and last_estimate >= self.trigger
         if aggressive and self.live:
-            # delete the most recently inserted surviving edges
-            kill = [e for e in reversed(self.recent) if e in self.live]
+            # delete the most recently inserted surviving edges; an edge
+            # deleted and inserted again is in `recent` twice, and is
+            # deleted once
+            kill = list(dict.fromkeys(
+                e for e in reversed(self.recent) if e in self.live))
             for e in kill[:self.batch // 2]:
                 del self.live[e]
                 events.append(UpdateEvent("d", *e))

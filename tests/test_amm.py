@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from dynmatch.graph import DynamicGraph, first_pass_matching
+from dynmatch.graph import (DynamicGraph, GraphError, Matching, NotMaximal,
+                            first_pass_matching)
 from dynmatch import oracles
 from dynmatch.amm import (AMfM, AMMMaintainer, DynamicMaximalMatching, Kernel,
-                          KernelValidationFailed, ValidationFailed,
-                          edge_color_and_sparsify, fractional_provider,
-                          high_degree_nodes, level_of,
+                          KernelValidationFailed, ShortAugmentingPath,
+                          ValidationFailed, augment_short_paths,
+                          check_two_thirds, edge_color_and_sparsify,
+                          fractional_provider, high_degree_nodes, level_of,
                           level_ordered_edges, provider_degree_bound,
                           required_degree_bound, static_amm_from_kernel,
                           validate_amfm, validate_kernel)
@@ -224,8 +226,9 @@ def test_maintainer_survives_matched_edge_deletions():
 
 
 def test_maintainer_work_counts_repair_reads():
-    """Each update is charged 1, the neighbours its repair reads and g.m if
-    it triggers a rebuild; deleting a matched edge reads neighbours."""
+    """Each update is charged 1 and every neighbour its repair reads, the
+    augmenting searches included; deleting a matched edge and inserting
+    next to a matched vertex read neighbours."""
     g = DynamicGraph(30)
     mnt = AMMMaintainer(g, eps=0.9)
     g.register(mnt)
@@ -240,23 +243,29 @@ def test_maintainer_work_counts_repair_reads():
 
     g.neighbors = counted
     rng = random.Random(4)
-    total = 0
+    total = augmented = 0
     for _ in range(600):
         u, v = rng.randrange(30), rng.randrange(30)
         if u == v:
             continue
-        work, rebuilds, reads = mnt.work, mnt.rebuild_count, 0
+        work, size, reads = mnt.work, len(mnt.matching()), 0
         if g.edge_exists(u, v):
             g.delete(u, v)
         else:
+            free = [x for x in (u, v) if not mnt.matching().is_matched(x)]
             g.insert(u, v)
-        rebuilt = mnt.rebuild_count - rebuilds
-        assert mnt.work - work == 1 + reads + rebuilt * g.m
+            # an insert with one free end grows M1 only by augmenting
+            augmented += len(free) == 1 and len(mnt.matching()) > size
+        assert mnt.work - work == 1 + reads
         total += reads
-    assert total > 0
+    assert mnt.rebuild_count == 0
+    assert total > 0 and augmented > 0
 
 
 def test_maintainer_small_size_branch():
+    """No update rebuilds. A rebuild called on an edgeless graph reports
+    `empty`; a one-edge matching, below 1/eps, is still rebuilt in level
+    order."""
     g = DynamicGraph(10)
     mnt = AMMMaintainer(g, eps=0.4)
     g.register(mnt)
@@ -264,39 +273,29 @@ def test_maintainer_small_size_branch():
     g.insert(2, 3)
     g.delete(0, 1)
     g.delete(2, 3)
-    assert mnt.last_rebuild_report.get("empty")
+    assert mnt.rebuild_count == 0 and mnt.last_rebuild_report == {}
+    mnt.rebuild()
+    assert mnt.last_rebuild_report == {"empty": True}
     g.insert(4, 5)
-    # a one-edge matching is below 1/eps, and still rebuilt in level order
-    assert mnt.rebuild_count == 5
+    mnt.rebuild()
+    assert mnt.rebuild_count == 2
     assert mnt.last_rebuild_report == {"branch": "kernel", "kernel_edges": 1}
     assert mnt.matching().edges() == [(4, 5)]
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.9])
-def test_rebuild_countdown(eps):
-    """The first rebuild comes at update 1; each later one comes
-    max(1, int(eps * max(1, 2|M|) / 3)) updates after the previous one,
-    with |M| read right after that rebuild."""
+def test_updates_never_rebuild(monkeypatch, eps):
+    """Over a churn stream, at any eps, no update calls `rebuild`, and M1
+    certifies 2/3 after each."""
+    monkeypatch.setattr(AMMMaintainer, "rebuild",
+                        lambda self: pytest.fail("an update rebuilt"))
     g = DynamicGraph(60)
     mnt = AMMMaintainer(g, eps=eps)
     g.register(mnt)
-    events = [ev for ev in generate_workload("random-er", 60, 3, horizon=3000,
-                                             density=0.2) if ev.kind != "q"]
-    due, gaps = 1, set()
-    for t, ev in enumerate(events, 1):
-        rebuilds = mnt.rebuild_count
+    for ev in generate_workload("random-er", 60, 3, horizon=3000,
+                                density=0.2):
         g.apply(ev)
-        assert mnt.rebuild_count - rebuilds == (t == due), t
-        if t == due:
-            gap = max(1, int(eps * max(1, 2 * len(mnt.matching())) / 3))
-            due += gap
-            gaps.add(gap)
-    assert len(gaps) > 3
-
-
-def live_and_maximal(g, m):
-    return (all(g.edge_exists(u, v) for (u, v) in m.edges())
-            and all(m.is_matched(u) or m.is_matched(v) for (u, v) in g.edges()))
+        check_two_thirds(g, mnt.matching())
 
 
 def test_maintainer_rebuild_report():
@@ -308,14 +307,93 @@ def test_maintainer_rebuild_report():
         u, v = rng.randrange(50), rng.randrange(50)
         if u != v and not g.edge_exists(u, v):
             g.insert(u, v)
-    assert mnt.rebuild_count > 0
+    assert mnt.rebuild_count == 0
     mnt.rebuild()
     rep = mnt.last_rebuild_report
     assert rep["branch"] == "kernel" and rep["kernel_edges"] == g.m
     kern = Kernel(level_ordered_edges(g, 0.2), provider_degree_bound(g, 0.2),
                   0.2)
     assert validate_kernel(g, kern)["ok"]
-    assert live_and_maximal(g, mnt.matching())
+    # live, maximal and free of 3-augmenting paths
+    check_two_thirds(g, mnt.matching())
+
+
+# -- the 2/3 certificate ---------------------------------------------------
+
+
+def test_check_two_thirds_examples():
+    """A live maximal matching with no 3-augmenting path passes; each of
+    the three faults raises its own exception."""
+    path = build(4, [(0, 1), (1, 2), (2, 3)])
+    check_two_thirds(path, Matching([(0, 1), (2, 3)]))
+    with pytest.raises(ShortAugmentingPath, match="0-1=2-3"):
+        check_two_thirds(path, Matching([(1, 2)]))
+    with pytest.raises(NotMaximal):
+        check_two_thirds(path, Matching([(0, 1)]))
+    with pytest.raises(GraphError, match="not in g"):
+        check_two_thirds(path, Matching([(0, 1), (2, 3), (4, 5)]))
+    # both ends see only the same free vertex: no augmenting path
+    tri = build(3, [(0, 1), (1, 2), (0, 2)])
+    check_two_thirds(tri, Matching([(0, 1)]))
+    # one end sees two free vertices, the other one of them
+    g = build(5, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    with pytest.raises(ShortAugmentingPath, match="3-0=1-2"):
+        check_two_thirds(g, Matching([(0, 1)]))
+
+
+def test_augment_short_paths_is_one_sweep():
+    """On k middle-first paths x-u-v-y, the greedy matching is the k
+    middles; one sweep augments every one, reading each end's neighbours."""
+    k = 50
+    edges = [(4 * j + 1, 4 * j + 2) for j in range(k)]
+    edges += [e for j in range(k)
+              for e in ((4 * j, 4 * j + 1), (4 * j + 2, 4 * j + 3))]
+    g = build(4 * k, edges)
+    m = first_pass_matching(edges)
+    assert len(m) == k
+    assert augment_short_paths(g, m) == 2 * 2 * k
+    assert len(m) == 2 * k == oracles.max_matching_size(g)
+    check_two_thirds(g, m)
+    # a second sweep finds no free end: it reads x's one neighbour and v's
+    # two per path, and changes nothing
+    edges = m.edges()
+    assert augment_short_paths(g, m) == 3 * k and m.edges() == edges
+
+
+def test_repair_rules_by_trigger():
+    """Each trigger of the repair on its smallest case: an insert next to
+    a matched vertex, and a matched-edge delete that leaves an endpoint
+    free."""
+    g = DynamicGraph(8)
+    mnt = AMMMaintainer(g, eps=0.2)
+    g.register(mnt)
+    m = mnt.matching()
+    # middle first: the pendant 3 of the matched 2 completes 0-1=2-3
+    for e in [(1, 2), (0, 1), (2, 3)]:
+        g.insert(*e)
+    assert sorted(m.edges()) == [(0, 1), (2, 3)]
+    # deleting 0-1 leaves 1 free, with 2's partner 3 next to free 4
+    g.insert(3, 4)
+    g.delete(0, 1)
+    assert sorted(mnt.matching().edges()) == [(1, 2), (3, 4)]
+    check_two_thirds(g, mnt.matching())
+
+
+def test_repair_rematches_both_ends_before_augmenting():
+    """A stream where deleting 4-7 frees both ends: 7 rematches to 3, 4
+    finds no free neighbour and then augments 4-2=1-5. Were 4 checked
+    while 7 was still free, 4-2=1-7 would augment through a vertex with a
+    free neighbour and leave 5-1=7-3; with both rematches first, the
+    certificate holds after every update."""
+    g = DynamicGraph(8)
+    mnt = AMMMaintainer(g, eps=0.2)
+    g.register(mnt)
+    for kind, u, v in [("i", 3, 5), ("i", 2, 5), ("i", 4, 7), ("d", 2, 5),
+                       ("i", 1, 2), ("i", 1, 7), ("i", 1, 5), ("i", 2, 4),
+                       ("d", 3, 5), ("i", 3, 7), ("d", 4, 7)]:
+        g.insert(u, v) if kind == "i" else g.delete(u, v)
+        check_two_thirds(g, mnt.matching())
+    assert sorted(mnt.matching().edges()) == [(1, 5), (2, 4), (3, 7)]
 
 
 def test_rebuild_charge_is_independent_of_n():
@@ -357,11 +435,13 @@ def equality_cases():
 @pytest.mark.parametrize("eps", [0.05, 0.2, 0.5, 0.99])
 def test_rebuild_equals_library_pipeline(eps):
     """The maintainer's kernel branch must be one greedy pass over the kernel
-    the library pipeline provider -> sparsifier produces, in its order; where
-    that kernel has no high-degree node, the library extraction must give the
-    same matching with an empty witness."""
+    the library pipeline provider -> sparsifier produces, in its order,
+    then one `augment_short_paths` sweep; where that kernel has no
+    high-degree node, the library extraction must give the greedy matching
+    with an empty witness."""
     kernel_rebuilds = 0
     no_high_degree = 0
+    swept = 0
     for name, n, edges in equality_cases():
         g = build(n, edges)
         ref_kern = edge_color_and_sparsify(g, fractional_provider(g, eps), eps)
@@ -375,13 +455,15 @@ def test_rebuild_equals_library_pipeline(eps):
         kernel_rebuilds += 1
         assert rep["branch"] == "kernel", name
         assert rep["kernel_edges"] == g.m, name
-        assert mnt.matching().edges() == \
-            first_pass_matching(ref_kern.edges).edges(), name
+        greedy = first_pass_matching(ref_kern.edges)
         if not high_degree_nodes(ref_kern):
             no_high_degree += 1
             ref = static_amm_from_kernel(g, ref_kern, eps)
-            assert mnt.matching().edges() == ref.matching.edges(), name
+            assert greedy.edges() == ref.matching.edges(), name
             assert ref.witness == set(), name
-    assert kernel_rebuilds >= 20
+        augment_short_paths(g, greedy)
+        assert mnt.matching().edges() == greedy.edges(), name
+        swept += greedy.edges() != first_pass_matching(ref_kern.edges).edges()
+    assert kernel_rebuilds >= 20 and swept > 0
     if eps <= 0.5:
         assert no_high_degree > 0

@@ -1,14 +1,17 @@
 import hashlib
 import math
 import random
+import statistics
 from collections import Counter
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynmatch.graph import DynamicGraph, Matching, UpdateEvent, validate
+from dynmatch.graph import (DynamicGraph, Matching, UpdateEvent,
+                            first_pass_matching, validate)
 from dynmatch import estimator, oracles
+from dynmatch.amm import check_two_thirds
 from dynmatch.estimator import (ContractedMember, ContractionFamily, Estimator,
                                 EstimatorConfig, SizeEstimate, _mix,
                                 bipartite_query, combine_amm_and_alpha,
@@ -186,12 +189,15 @@ def test_general_query_lower_bound_certificate():
 ])
 def test_general_value_certified_at_served_sizes(mode, n, horizon):
     """General and tradeoff mode's nu <= mu where the exact oracle's
-    general route (64 touched vertices) cannot check it: at every `q`,
-    repetition 0's pass is rebuilt on the served M1 (in tradeoff mode, the
-    AMM's matching combined with the provider's) and M1 is augmented along
-    the vertex-disjoint 3-augmenting paths that its pair-matched edges
-    carry. The result is a matching of the live graph, so its size is at
-    most mu, and it is at least nu."""
+    general route (64 touched vertices) cannot check it. The served M1 (in
+    tradeoff mode, the AMM's matching combined with the provider's) has no
+    3-augmenting path, so at every `q` every repetition's kappa is 0 and
+    nu = |M1|, a matching of the live graph. The second pass's lift is
+    certified on a stream-greedy M1, which has such paths: repetition 0's
+    pass is rebuilt and M1 is augmented along the vertex-disjoint
+    3-augmenting paths that its pair-matched edges carry. The result is a
+    matching of the live graph, so its size is at most mu, and it is at
+    least the query's nu."""
     events = generate_workload("random-er", n, seed=14, horizon=horizon,
                                density=4.0 / (n - 1), query_every=100)
     est = Estimator(n, EstimatorConfig(mode=mode, eps=0.3, seed=1, reps=1))
@@ -202,15 +208,18 @@ def test_general_value_certified_at_served_sizes(mode, n, horizon):
             est.apply(ev)
             continue
         se = est.estimate()
-        m1 = est.amm.matching()
-        if mode == "tradeoff":
-            m1 = combine_amm_and_alpha(m1, est.alpha_source.m)
-        boundary = Boundary(list(est.g.edges()), m1)
+        served = est._live_matching()
+        assert validate(est.g, served)["ok"]
+        assert se.components["kappa"] == 0
+        assert se.nu == se.rep_values[0] == len(served)
+        m1 = first_pass_matching(est.g.edges())
         seed = _mix(1, 0, est.g.ops)
+        [(nu, query_kappa)], _ = general_query(est.g, m1, b, [seed], 1)
+        boundary = Boundary(list(est.g.edges()), m1)
         mate, kappa = second_pass_general(
             boundary, [coin(seed, v) for v in boundary.free], b)
         m1_hat = [(u, v) for (u, v) in m1.edges() if u in mate and v in mate]
-        assert len(m1_hat) == kappa == se.components["kappa"]
+        assert len(m1_hat) == kappa == query_kappa
         paths = disjoint_augmenting_paths(m1_hat, mate)
         hosts = {(min(u, v), max(u, v)) for (_, u, v, _) in paths}
         augmented = Matching(e for e in m1.edges() if e not in hosts)
@@ -219,7 +228,7 @@ def test_general_value_certified_at_served_sizes(mode, n, horizon):
             augmented.add(v, vp)
         assert validate(est.g, augmented)["ok"]
         assert len(augmented) == len(m1) + len(paths)
-        assert se.nu <= len(augmented)
+        assert nu <= len(augmented)
         augmented_at += bool(paths)
     assert augmented_at > 0
 
@@ -262,51 +271,135 @@ def test_sandwich_at_8192_under_churn(mode, workload, bound):
     assert checked == 30
 
 
+@pytest.mark.parametrize("mode,workload", [
+    ("bipartite", "random-bipartite"),
+    ("general", "random-er"),
+    ("tradeoff", "random-er"),
+], ids=["bipartite", "general", "tradeoff"])
+def test_m1_certifies_two_thirds_after_every_update_at_8192(mode, workload):
+    """After every update of a churn stream at n = 8192 (about 2,000 live
+    edges, then 2,000 updates, half of them deletions), the maintained M1
+    is live, maximal and has no 3-augmenting path, so |M1| >= (2/3)mu.
+    Every estimate serves at least |M1|, and in general mode every
+    repetition's kappa is 0. Some inserts augment, so the repair runs."""
+    n, live = 8192, 2000
+    pairs = (n // 2) ** 2 if mode == "bipartite" else n * (n - 1) // 2
+    events = generate_workload(workload, n, seed=27, horizon=4000,
+                               density=(live + 0.5) / pairs,
+                               query_every=100)
+    assert sum(ev.kind == "d" for ev in events) >= 900
+    est = Estimator(n, EstimatorConfig(mode=mode, eps=0.3, seed=27, reps=5))
+    m1 = est.amm.matching()
+    augmented = estimates = 0
+    for ev in events:
+        if ev.kind == "q":
+            se = est.estimate()
+            assert se.nu >= se.components["m1"] >= len(m1)
+            if mode == "general":
+                assert se.components["kappa"] == 0
+                assert se.rep_values == [float(len(m1))] * 5
+            estimates += 1
+            continue
+        size = len(m1)
+        one_free = ev.kind == "i" and m1.is_matched(ev.u) != m1.is_matched(ev.v)
+        est.apply(ev)
+        check_two_thirds(est.g, m1)
+        augmented += one_free and len(m1) > size
+    assert estimates == 40 and augmented > 0
+
+
+def _planted_middles_first(k):
+    """A graph of k disjoint paths x-u-v-y, the middle edges inserted
+    first, and its pendant edges in the order the toggles below use."""
+    g = DynamicGraph(4 * k)
+    for j in range(k):
+        g.insert(4 * j + 1, 4 * j + 2)
+    for j in range(k):
+        g.insert(4 * j, 4 * j + 1)
+        g.insert(4 * j + 2, 4 * j + 3)
+    return g
+
+
+def _toggle_pendants(k, apply):
+    """3,000 pendant toggles in seeded order, calling `apply(edge)` per
+    toggle; yields after every 100."""
+    rng = random.Random(3)
+    for step in range(1, 3001):
+        j, side = rng.randrange(k), rng.randrange(2)
+        apply((4 * j + 2 * side, 4 * j + 2 * side + 1))
+        if step % 100 == 0:
+            yield
+
+
 @pytest.mark.parametrize("mode,bound", [
     ("bipartite", 1 + 1 / math.sqrt(2) + 0.2),
     ("general", 1.973 + 0.2),
     ("tradeoff", estimator.BETA),
 ], ids=["bipartite", "general", "tradeoff"])
 def test_planted_three_paths_the_second_pass_decides(mode, bound):
-    """k disjoint paths x-u-v-y with the middle edges inserted first, so M1
-    is the k middles, |M1| = mu/2, and only the second pass can lift nu
-    above |M1|. Checked on the full instance and under 3,000 pendant
-    toggles, with an estimate every 100: nu <= mu <= bound * nu and
-    nu > |M1| at every checkpoint. Every component is a path, so
+    """k disjoint paths x-u-v-y with the middle edges inserted first, so
+    the stream-greedy M1 is the k middles, |M1| = mu/2, and only the
+    second pass can lift nu above |M1|. The mode's query (reps 5, at the
+    estimator's seeds) runs on that M1 on the full instance and under
+    3,000 pendant toggles, with a check every 100: nu <= mu <= bound * nu
+    and nu > |M1| at every checkpoint. Every component is a path, so
     Hopcroft-Karp gives mu exactly in every mode."""
+    k = 1000
+    g = _planted_middles_first(k)
+    cfg = EstimatorConfig(mode=mode, eps=0.2, seed=3, reps=5)
+    b = B_GENERAL if mode == "general" else estimator.B_STAR
+
+    def check():
+        m1 = first_pass_matching(g.edges())
+        assert len(m1) == k
+        if mode == "bipartite":
+            nu = bipartite_query(g, m1, cfg.spc)[0]
+        else:
+            draws, _ = general_query(g, m1, b, [_mix(3, 0, g.ops)], 5)
+            nu = statistics.fmean(nu_r for nu_r, _ in draws)
+        mu = oracles.max_matching_size(g)
+        assert len(m1) < nu <= mu <= bound * nu, (g.ops, nu, mu)
+        return nu, mu
+
+    nu, mu = check()
+    assert mu == 2 * k
+    if mode == "bipartite":
+        # each middle endpoint takes its full cap of M2 copies to its
+        # pendant: nu = (1 + delta)|M1|, and mu/nu = 2/(1 + delta) = sqrt 2
+        assert nu == pytest.approx((1 + DELTA) * k, rel=1e-9)
+        assert mu / nu == pytest.approx(math.sqrt(2), rel=1e-9)
+
+    def toggle(e):
+        g.delete(*e) if g.edge_exists(*e) else g.insert(*e)
+
+    for _ in _toggle_pendants(k, toggle):
+        check()
+
+
+@pytest.mark.parametrize("mode", ["bipartite", "general", "tradeoff"])
+def test_planted_three_paths_m1_is_maximum(mode):
+    """On the same instance and toggles, the maintained M1 has no
+    3-augmenting path, so on these paths it is a maximum matching, and
+    every mode serves nu = mu = |M1| exactly."""
     k = 1000
     est = Estimator(4 * k, EstimatorConfig(mode=mode, eps=0.2, seed=3,
                                            reps=5))
-    for j in range(k):
-        est.insert(4 * j + 1, 4 * j + 2)
-    for j in range(k):
-        est.insert(4 * j, 4 * j + 1)
-        est.insert(4 * j + 2, 4 * j + 3)
+    for (u, v) in _planted_middles_first(k).edges():
+        est.insert(u, v)
 
     def check():
         se = est.estimate()
         mu = oracles.max_matching_size(est.g)
-        assert se.nu <= mu <= bound * se.nu, (est.g.ops, se.nu, mu)
-        assert se.nu > se.components["m1"], (est.g.ops, se.nu)
-        return se, mu
+        assert se.nu == mu == se.components["m1"], (est.g.ops, se.nu, mu)
+        return mu
 
-    se, mu = check()
-    assert se.components["m1"] == k and mu == 2 * k
-    if mode == "bipartite":
-        # each middle endpoint takes its full cap of M2 copies to its
-        # pendant: nu = (1 + delta)|M1|, and mu/nu = 2/(1 + delta) = sqrt 2
-        assert se.nu == pytest.approx((1 + DELTA) * k, rel=1e-9)
-        assert mu / se.nu == pytest.approx(math.sqrt(2), rel=1e-9)
-    rng = random.Random(3)
-    for step in range(1, 3001):
-        j, side = rng.randrange(k), rng.randrange(2)
-        e = (4 * j + 2 * side, 4 * j + 2 * side + 1)
-        if est.g.edge_exists(*e):
-            est.delete(*e)
-        else:
-            est.insert(*e)
-        if step % 100 == 0:
-            assert check()[0].components["m1"] == k
+    assert check() == 2 * k
+
+    def toggle(e):
+        est.delete(*e) if est.g.edge_exists(*e) else est.insert(*e)
+
+    for _ in _toggle_pendants(k, toggle):
+        check()
 
 
 def test_combiner_examples():
@@ -416,16 +509,20 @@ def test_bipartite_value_floored_at_m1():
 
 
 def test_bipartite_value_serves_mix_above_m1():
-    """A path a-u-v-b with M1 = {uv}: the mix, 1 + delta, exceeds |M1| and
-    is served."""
+    """A path a-u-v-b inserted middle first: over the stream-greedy
+    M1 = {uv}, the mix, 1 + delta, exceeds |M1|. The maintained M1
+    augments a-u=v-b, and |M1| = mu = 2 is served."""
     cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=1)
     est = Estimator(4, cfg)
-    for e in [(1, 2), (0, 1), (2, 3)]:
+    stream = [(1, 2), (0, 1), (2, 3)]
+    for e in stream:
         est.insert(*e)
-    assert sorted(est.amm.matching().edges()) == [(1, 2)]
+    m1 = first_pass_matching(stream)
+    assert m1.edges() == [(1, 2)]
+    assert bipartite_query(est.g, m1, cfg.spc)[0] == pytest.approx(1 + DELTA)
+    assert sorted(est.amm.matching().edges()) == [(0, 1), (2, 3)]
     se = est.estimate()
-    assert se.nu == pytest.approx(1 + DELTA)
-    assert se.components["bound"] == "mix"
+    assert se.nu == 2.0 and se.components["bound"] == "m1"
 
 
 @pytest.mark.parametrize("workload", ["random-bipartite", "random-er"])
@@ -499,8 +596,8 @@ def test_bipartite_colouring_runs_only_when_the_mix_would_serve(monkeypatch):
 
 def _planted_paths(n, seed):
     """Disjoint paths a-u-v-b, each inserted middle edge first, with a
-    query after each path and after each random deletion: the bipartite
-    mix serves on most of them."""
+    query after each path and after each random deletion: each path's
+    last insert completes a-u=v-b, which the maintainer augments."""
     rng = random.Random(seed)
     events, live = [], []
     for a in range(0, n - 3, 4):
@@ -528,12 +625,11 @@ def _golden_streams():
         yield mode, 400, 6, 4, _planted_paths(400, 4)
 
 
-# SHA-256 of every estimate of `_golden_streams`, re-recorded when general
-# repetition r began reading bit 63 - r % 64 of one word per free vertex:
-# bipartite estimates and every general and tradeoff repetition 0 kept
-# their values
+# SHA-256 of every estimate of `_golden_streams`, re-recorded when the
+# maintained M1 began to stay free of 3-augmenting paths instead of being
+# rebuilt per epoch: M1 itself changed, so values changed in every mode
 GOLDEN_DIGEST = (
-    "32d4ce54fc90ec8431667e05c2405c02cf9ed66af6acbf0e7cb161284f5584c7")
+    "b89c62cbf0026f69407acef5042e3cf2477ae33dbcd0e938dca9167cd044d2ee")
 
 
 def served_values_digest():

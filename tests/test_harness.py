@@ -151,7 +151,7 @@ def test_adaptive_workload_is_replayable():
 def test_run_empty_stream():
     res = run_stream([], 10, EstimatorConfig(mode="bipartite", eps=0.2))
     assert res.rows == [] and res.meta["mode"] == "bipartite"
-    assert "amortized-provider" in res.meta["deviations"]
+    assert "local-repair-matching" in res.meta["deviations"]
 
 
 def test_run_rows_and_ratios():
@@ -231,6 +231,23 @@ def test_adaptive_stream_marks_every_read():
     assert [row["nu"] for row in res.rows] == reads
     for row in res.rows:
         assert row["ratio"] is None or row["ratio"] >= 1.0 - 1e-9
+
+
+def test_adversary_deletes_a_reinserted_edge_once():
+    """An edge deleted and inserted again is in `recent` twice; an
+    aggressive step deletes it once, newest first, and deletes each other
+    recent edge once."""
+    adv = AdaptiveAdversary(40, seed=1, batch=8, density=0.1)
+    edges = [(0, 20), (1, 21), (2, 22)]
+    for e in edges:
+        adv.live[e] = None
+    adv.recent.extend([(0, 20), (1, 21), (0, 20), (2, 22)])
+    adv.estimate_log.append(0.0)
+    events = adv.step(adv.trigger)
+    kills = [(ev.u, ev.v) for ev in events[:3]]
+    assert kills == [(2, 22), (0, 20), (1, 21)]
+    assert all(ev.kind == "d" for ev in events[:3])
+    assert not any(e in adv.live for e in edges)
 
 
 @pytest.mark.parametrize("mode", ["bipartite", "general", "tradeoff"])
@@ -400,7 +417,8 @@ def test_cli_adaptive_general_replay_publishes_the_reads(tmp_path,
     assert adv.estimate_log[0] == 0.0
     assert served["5"][:-1] == adv.estimate_log[1:]
     assert len(served["5"]) == 20
-    assert served["1"] != served["5"]
+    # M1 has no 3-augmenting path, so no repetition lifts nu above |M1|
+    assert served["1"] == served["5"]
 
 
 RUN_ARGS = ["--n", "10", "--mode", "bipartite", "--report", "{d}/r.json"]

@@ -620,16 +620,24 @@ def test_shared_query_estimate_matches_dense_reference(mode):
     est = fresh(10, [(0, 1), (1, 9)])
     bd = _estimate_matches_dense_reference(est)
     assert bd.edges == [(1, 0, 1)] and bd.free == [9]
-    # an update that changes only the boundary: M1 stays, the served
-    # values follow the new boundary
-    before = est.estimate().rep_values
+    # an update that changes only the boundary of M1 = {01}: a query on
+    # that M1 follows the new boundary
+    b = B_GENERAL if mode == "general" else estimator.B_STAR
+    m1 = Matching([(0, 1)])
+
+    def query():
+        seeds = [estimator._mix(5, 0, est.g.ops)]
+        return estimator.general_query(est.g, m1, b, seeds, 25)[0]
+
+    before = query()
     est.insert(0, 8)
+    assert query() != before
+    # the maintained M1 instead augments 8-0=1-9, which leaves no boundary
     bd = _estimate_matches_dense_reference(est)
-    assert bd.partner == {0: 1, 1: 0} and len(bd.edges) == 2
-    assert est.estimate().rep_values != before
+    assert bd.partner == {0: 8, 8: 0, 1: 9, 9: 1} and bd.edges == []
     est.delete(1, 9)
     bd = _estimate_matches_dense_reference(est)
-    assert bd.partner == {0: 1, 1: 0} and len(bd.edges) == 1
+    assert bd.partner == {0: 8, 8: 0} and len(bd.edges) == 1
     # random ER streams with churn
     rng = random.Random(24)
     for n in (12, 60, 300):
