@@ -284,8 +284,8 @@ class DynamicMaximalMatching:
     preserved exactly (every uncovered edge would have had a free endpoint
     pair, which the repair rule eliminates). `AMMMaintainer` extends this
     rule with its augmenting searches; the estimator's tradeoff source and
-    the contracted copies of the contraction library use it directly. `work` counts the neighbours the
-    repairs read.
+    the contracted copies of the contraction library use it directly.
+    `work` counts the neighbours the repairs read.
     """
 
     def __init__(self, g: DynamicGraph):

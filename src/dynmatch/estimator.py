@@ -1,12 +1,12 @@
 """Top-level dynamic matching-size estimators.
 
-Every estimate queries the live graph, with the maintained first-pass
-matching as M1, through the two-pass machinery: the bipartite mixing
-formula (floored at |M1|, which is itself a certified lower bound), the
-bipartition/b-matching count for general graphs, and the matching combiner
-for the approximation/maximality tradeoff. The maintainer keeps M1 maximal
-with no augmenting path of length 3, so |M1| >= (2/3)mu and every mode's
-estimate has mu <= 1.5 nu.
+The maintainer keeps the first-pass matching M1 maximal with no augmenting
+path of length 3, so |M1| >= (2/3)mu and every mode has mu <= 1.5 nu.
+Over such an M1 neither of the paper's second passes lifts the value, so
+bipartite and general mode serve |M1| with no query (`Estimator` says
+why). Tradeoff mode queries its combined M1 through `general_query`;
+`bipartite_query`, and `general_query` at b = `streaming.B_GENERAL`, stay
+as the tested library of the other two modes' passes.
 
 The paper's hash-contracted graph copies stay below as a tested library.
 They exist so that a sampled query costs time tracking mu; here queries
@@ -27,7 +27,7 @@ from . import oracles
 from .amm import AMMMaintainer, DynamicMaximalMatching
 # random_bipartition is imported for callers that look it up in this module,
 # such as the benchmark's tracer
-from .streaming import (B_GENERAL, Boundary, SecondPassConfig, coin_word,
+from .streaming import (Boundary, SecondPassConfig, coin_word,
                         random_bipartition, second_pass_bipartite,
                         second_pass_general)
 
@@ -46,10 +46,10 @@ BETA = ALPHA - GAIN
 class EstimatorConfig:
     """Mode, precision, seeding and repetitions.
 
-    `reps` is the number of bipartition draws averaged per general or
-    tradeoff estimate. It changes no bipartite value: that value is
-    deterministic, and its `rep_values` is `[nu] * reps`. General mode
-    draws with b = `B_GENERAL`, tradeoff mode with b = `B_STAR`."""
+    `reps` is the number of bipartition draws averaged per tradeoff
+    estimate, each with b = `B_STAR`. It changes no bipartite or general
+    value: that value is the deterministic |M1|, and its `rep_values` is
+    `[nu] * reps`."""
 
     mode: str
     eps: float
@@ -187,7 +187,8 @@ def bipartite_query(g: DynamicGraph, m1: Matching, spc: SecondPassConfig
     (query-time replay), and `reads` the edge and vertex reads spent. Only a
     mix above |M1| is worth certifying, so only then does the query 2-colour
     the graph; if it is not 2-colourable the query returns (|M1|, 0), still
-    a valid lower bound. Costs O(m), plus O(n + m) when it colours."""
+    a valid lower bound. Costs O(m), plus O(n + m) when it colours. No
+    mode serves it."""
     nu, m2 = second_pass_bipartite(g.edges(), m1, spc)
     if nu <= len(m1):
         return nu, float(m2.size), g.m
@@ -206,7 +207,8 @@ def general_query(g: DynamicGraph, m1: Matching, b: int,
     <= mu(g): at least kappa/b of those edges carry vertex-disjoint
     3-augmenting paths (`streaming.disjoint_augmenting_paths`). One
     boundary, built in one O(m) read of the live edges, serves every
-    repetition.
+    repetition. Tradeoff mode serves it with b = `B_STAR`; over the
+    maintained M1, at general mode's b, every kappa is 0.
 
     Repetition r draws from block r // 64, whose seed is `seeds[r // 64]`:
     each block computes one word per free boundary vertex from (seed,
@@ -275,7 +277,7 @@ def combine_amm_and_alpha(m_prime: Matching, m_second: Matching) -> Matching:
 
 def _mix(seed: int, block: int, stamp: int) -> int:
     """The coin seed of repetitions 64*block .. 64*block + 63 of the
-    estimate at `stamp`."""
+    tradeoff estimate at `stamp`."""
     return (seed * 0x9E3779B97F4A7C15 + block * 0xC2B2AE3D + stamp) & (
         2**63 - 1)
 
@@ -290,15 +292,17 @@ class Estimator:
     is at least (2/3)mu. Every mode serves at least that size, so mu <=
     1.5 nu at every estimate.
 
-    estimate() is read-only, available after every update, and queries the
-    live graph at most once, with the maintained matching as M1 (combined
-    with the provider's matching in tradeoff mode). In bipartite mode it
-    serves max((1-delta)|M1| + (delta/k)|M2|, |M1|): both terms are at most mu
-    because M1 is a live matching, and the max is at least the paper's
-    value, so its approximation bound stands. `components["bound"]` names
-    the term that served ("mix" or "m1"). Before any query, an exact O(1)
-    check bounds |M2| by free_cap times the free vertices; when even that
-    mix is at most |M1|, |M1| is served with no query and no `psi`."""
+    estimate() is read-only and available after every update. In
+    bipartite and general mode it serves |M1| in O(1) with no query, and
+    `components["bound"]` is "m1". That is the paper's value, so each
+    mode's factor stands (Hopcroft & Karp, 1973): on a 2-colourable graph
+    only one end of each M1 edge has a free neighbour, so |M2| <= k|M1|
+    and the mix is at most |M1| (any other graph is served |M1| anyway);
+    an M2 edge of the general pass crosses the bipartition, so a
+    pair-matched M1 edge would carry a 3-augmenting path, and kappa = 0.
+    In tradeoff mode it queries the live graph once, with the maintained
+    matching combined with the provider's as M1, and serves
+    |M1| + kappa/b averaged over the repetitions."""
 
     def __init__(self, n: int, cfg: EstimatorConfig):
         self.cfg = cfg
@@ -339,26 +343,15 @@ class Estimator:
 
     def _value(self, m1: Matching, stamp: int
                ) -> Tuple[float, List[float], Dict[str, object]]:
-        cfg, g = self.cfg, self.g
-        if cfg.mode == "bipartite":
-            size = len(m1)
-            nu, comp = float(size), {"m1": size, "bound": "m1"}
-            # each free vertex holds at most free_cap M2 copies, and the mix
-            # is monotone in |M2|: if even that many cannot lift it above
-            # |M1|, no second pass can
-            spc = cfg.spc
-            if spc.mix(size, spc.free_cap * (g.n - 2 * size)) <= size:
-                self.query_work += 1
-            else:
-                mix, comp["psi"], reads = bipartite_query(g, m1, spc)
-                self.query_work += reads
-                if mix > size:
-                    nu, comp["bound"] = mix, "mix"
-            # each draw is deterministic; repetitions agree, median = value
-            return nu, [nu] * cfg.reps, comp
-        b = B_GENERAL if cfg.mode == "general" else B_STAR
+        cfg = self.cfg
+        if cfg.mode != "tradeoff":
+            # M1 has no 3-augmenting path, so neither second pass can lift
+            # it: the mix is at most |M1| and every kappa is 0
+            self.query_work += 1
+            nu = float(len(m1))
+            return nu, [nu] * cfg.reps, {"m1": len(m1), "bound": "m1"}
         seeds = [_mix(cfg.seed, q, stamp) for q in range(-(-cfg.reps // 64))]
-        draws, reads = general_query(g, m1, b, seeds, cfg.reps)
+        draws, reads = general_query(self.g, m1, B_STAR, seeds, cfg.reps)
         self.query_work += reads
         vals = [nu_r for nu_r, _ in draws]
         return (statistics.fmean(vals), vals,

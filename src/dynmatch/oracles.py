@@ -1,9 +1,10 @@
 """Exact and exhaustive reference algorithms.
 
-Ground truth for tests and acceptance runs. One of them serves estimates:
-`bipartition` 2-colours the live graph in every bipartite-mode query whose
-mix exceeds |M1|, to certify that mix. All functions are pure in their
-inputs; rank-driven ones are deterministic given the seed.
+Ground truth for tests and acceptance runs; none of them serves an
+estimate. `bipartition` 2-colours a graph for `estimator.bipartite_query`,
+the library form of bipartite mode's second pass, to certify a mix above
+|M1|. All functions are pure in their inputs; rank-driven ones are
+deterministic given the seed.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Pass one builds a greedy maximal matching M1. Pass two (a re-scan of the same
 stream) builds a maximal b-matching M2 on the edges between V(M1) and the free
 vertices, from which the size estimate / augmented matching follows. The same
-second-pass logic doubles as the query-time computation of the dynamic
-estimators, which replay the live edge set instead of a stream.
+second-pass logic doubles as the query of the dynamic estimators, which
+replay the live edge set instead of a stream; only tradeoff mode serves it.
 """
 
 from __future__ import annotations

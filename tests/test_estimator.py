@@ -191,8 +191,10 @@ def test_general_value_certified_at_served_sizes(mode, n, horizon):
     """General and tradeoff mode's nu <= mu where the exact oracle's
     general route (64 touched vertices) cannot check it. The served M1 (in
     tradeoff mode, the AMM's matching combined with the provider's) has no
-    3-augmenting path, so at every `q` every repetition's kappa is 0 and
-    nu = |M1|, a matching of the live graph. The second pass's lift is
+    3-augmenting path here, so at every `q` the query on it, at the
+    estimate's seed, has kappa 0 and nu = |M1|, a matching of the live
+    graph: general mode serves that |M1| with no query, and tradeoff mode
+    serves the query. The second pass's lift is
     certified on a stream-greedy M1, which has such paths: repetition 0's
     pass is rebuilt and M1 is augmented along the vertex-disjoint
     3-augmenting paths that its pair-matched edges carry. The result is a
@@ -210,10 +212,12 @@ def test_general_value_certified_at_served_sizes(mode, n, horizon):
         se = est.estimate()
         served = est._live_matching()
         assert validate(est.g, served)["ok"]
-        assert se.components["kappa"] == 0
-        assert se.nu == se.rep_values[0] == len(served)
-        m1 = first_pass_matching(est.g.edges())
         seed = _mix(1, 0, est.g.ops)
+        [(served_nu, served_kappa)], _ = general_query(est.g, served, b,
+                                                        [seed], 1)
+        assert served_kappa == 0 and se.components.get("kappa", 0) == 0
+        assert se.nu == se.rep_values[0] == served_nu == len(served)
+        m1 = first_pass_matching(est.g.edges())
         [(nu, query_kappa)], _ = general_query(est.g, m1, b, [seed], 1)
         boundary = Boundary(list(est.g.edges()), m1)
         mate, kappa = second_pass_general(
@@ -280,8 +284,10 @@ def test_m1_certifies_two_thirds_after_every_update_at_8192(mode, workload):
     """After every update of a churn stream at n = 8192 (about 2,000 live
     edges, then 2,000 updates, half of them deletions), the maintained M1
     is live, maximal and has no 3-augmenting path, so |M1| >= (2/3)mu.
-    Every estimate serves at least |M1|, and in general mode every
-    repetition's kappa is 0. Some inserts augment, so the repair runs."""
+    Every estimate serves at least |M1|. In general mode it serves |M1|,
+    and the query it no longer runs, at b = 9 and the estimate's seed,
+    gives every repetition kappa 0. Some inserts augment, so the repair
+    runs."""
     n, live = 8192, 2000
     pairs = (n // 2) ** 2 if mode == "bipartite" else n * (n - 1) // 2
     events = generate_workload(workload, n, seed=27, horizon=4000,
@@ -296,7 +302,9 @@ def test_m1_certifies_two_thirds_after_every_update_at_8192(mode, workload):
             se = est.estimate()
             assert se.nu >= se.components["m1"] >= len(m1)
             if mode == "general":
-                assert se.components["kappa"] == 0
+                draws, _ = general_query(est.g, m1, B_GENERAL,
+                                         [_mix(27, 0, est.g.ops)], 5)
+                assert draws == [(float(len(m1)), 0)] * 5
                 assert se.rep_values == [float(len(m1))] * 5
             estimates += 1
             continue
@@ -527,38 +535,53 @@ def test_bipartite_value_serves_mix_above_m1():
 
 @pytest.mark.parametrize("workload", ["random-bipartite", "random-er"])
 def test_bipartite_check_serves_the_colour_first_value(workload):
-    """At every `q`, the O(1) check and the pass-first query serve exactly
-    the value and bound of colouring first: |M1| on a graph that is not
-    2-colourable, else the larger of the mix and |M1|."""
-    branches = Counter()
+    """Over the maintained M1, which has no 3-augmenting path, neither of
+    the paper's second passes lifts the value, so serving |M1| with no
+    query serves exactly what the passes would. At every `q`, on the same
+    stream in both modes:
+    - bipartite: the colour-first value, |M1| on a graph that is not
+      2-colourable, else the larger of the mix and |M1|, is |M1|;
+    - general: every repetition of the query at reps 25 and the
+      estimate's seed has kappa 0, so its value is |M1|.
+
+    Both equal the served nu."""
+    lifts = Counter()
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(n=st.integers(4, 24), seed=st.integers(0, 10**6),
            eps=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
            density=st.sampled_from([0.05, 0.2, 0.6]))
     def check(n, seed, eps, density):
-        cfg = EstimatorConfig(mode="bipartite", eps=eps, seed=seed)
-        est = Estimator(n, cfg)
+        bip = Estimator(n, EstimatorConfig(mode="bipartite", eps=eps,
+                                           seed=seed))
+        gen = Estimator(n, EstimatorConfig(mode="general", eps=eps,
+                                           seed=seed, reps=25))
         for ev in generate_workload(workload, n, seed, horizon=120,
                                     density=density, query_every=3):
             if ev.kind != "q":
-                est.apply(ev)
+                bip.apply(ev)
+                gen.apply(ev)
                 continue
-            m1 = est.amm.matching()
-            size = len(m1)
-            if oracles.bipartition(est.g) is None:
-                nu, bound = float(size), "m1"
+            g, m1 = bip.g, bip.amm.matching()
+            size = float(len(m1))
+            assert sorted(gen.amm.matching().edges()) == sorted(m1.edges())
+            edges = list(g.edges())
+            if oracles.bipartition(g) is None:
+                colour_first = size
             else:
-                mix, _ = second_pass_bipartite(list(est.g.edges()), m1,
-                                               cfg.spc)
-                nu = max(mix, float(size))
-                bound = "mix" if mix > size else "m1"
-            se = est.estimate()
-            assert se.nu == nu and se.components["bound"] == bound
-            branches["query" if "psi" in se.components else "check"] += 1
+                mix, _ = second_pass_bipartite(edges, m1, bip.cfg.spc)
+                colour_first = max(mix, size)
+                lifts["mix"] += bool(Boundary(edges, m1).edges)
+            draws, _ = general_query(g, m1, B_GENERAL,
+                                     [_mix(seed, 0, g.ops)], 25)
+            assert draws == [(size, 0)] * 25
+            assert colour_first == size == bip.estimate().nu
+            assert gen.estimate().nu == size
 
     check()
-    assert branches["check"] > 0 and branches["query"] > 0
+    # the mix ran on a 2-colourable graph with an M1 edge next to a free
+    # vertex, where a 3-augmenting path could have lifted it
+    assert lifts["mix"] > 0
 
 
 def test_bipartite_colouring_runs_only_when_the_mix_would_serve(monkeypatch):
@@ -566,16 +589,7 @@ def test_bipartite_colouring_runs_only_when_the_mix_would_serve(monkeypatch):
     bipartition = oracles.bipartition
     monkeypatch.setattr(oracles, "bipartition",
                         lambda g: calls.append(g) or bipartition(g))
-    cfg = EstimatorConfig(mode="bipartite", eps=0.2, seed=1)
-    spc = cfg.spc
-    # a perfect matching leaves no free vertex: the check serves |M1|
-    est = Estimator(8, cfg)
-    for i in range(4):
-        est.insert(i, i + 4)
-    work = est.query_work
-    se = est.estimate()
-    assert se.nu == 4.0 and "psi" not in se.components
-    assert est.query_work == work + 1 and not calls
+    spc = EstimatorConfig(mode="bipartite", eps=0.2, seed=1).spc
     # a triangle matched with an edge hanging off it, and free isolated
     # vertices that defeat the check: no M2 copy, so the mix stays below
     # |M1| and the odd cycle is never looked for
@@ -589,6 +603,56 @@ def test_bipartite_colouring_runs_only_when_the_mix_would_serve(monkeypatch):
     assert bipartite_query(tri, Matching([(0, 1)]), spc) == (
         1.0, 0.0, 2 * tri.m + tri.n)
     assert len(calls) == 1
+
+
+def test_only_tradeoff_estimates_query(monkeypatch):
+    """A tradeoff estimate runs `general_query` exactly once. Bipartite and
+    general estimates serve |M1| at one unit of query work, with no second
+    pass, no colouring and no coin hash: each of those raises if called,
+    and some estimates are ones where free vertices would have defeated
+    the old O(1) mix check."""
+    events = generate_workload("random-er", 40, 5, horizon=300,
+                               density=0.1, query_every=10)
+    calls = []
+    query = estimator.general_query
+    monkeypatch.setattr(estimator, "general_query",
+                        lambda *args: calls.append(args) or query(*args))
+    est = Estimator(40, EstimatorConfig(mode="tradeoff", eps=0.2, seed=5,
+                                        reps=25))
+    for ev in events:
+        if ev.kind != "q":
+            est.apply(ev)
+            continue
+        before = len(calls)
+        est.estimate()
+        assert len(calls) == before + 1
+
+    def refuse(*args):
+        raise AssertionError("a query ran on the served path")
+
+    for owner, name in ((estimator, "bipartite_query"),
+                        (estimator, "general_query"),
+                        (estimator, "second_pass_bipartite"),
+                        (estimator, "second_pass_general"),
+                        (estimator, "coin_word"),
+                        (oracles, "bipartition")):
+        monkeypatch.setattr(owner, name, refuse)
+    for mode in ("bipartite", "general"):
+        est = Estimator(40, EstimatorConfig(mode=mode, eps=0.2, seed=5,
+                                            reps=25))
+        spc, undecided = est.cfg.spc, 0
+        for ev in events:
+            if ev.kind != "q":
+                est.apply(ev)
+                continue
+            work = est.query_work
+            se = est.estimate()
+            size = len(est.amm.matching())
+            assert se.nu == size and se.rep_values == [float(size)] * 25
+            assert se.components == {"m1": size, "bound": "m1"}
+            assert est.query_work == work + 1
+            undecided += spc.mix(size, spc.free_cap * (40 - 2 * size)) > size
+        assert undecided > 0
 
 
 # -- served values pinned by digest ----------------------------------------
@@ -625,11 +689,13 @@ def _golden_streams():
         yield mode, 400, 6, 4, _planted_paths(400, 4)
 
 
-# SHA-256 of every estimate of `_golden_streams`, re-recorded when the
-# maintained M1 began to stay free of 3-augmenting paths instead of being
-# rebuilt per epoch: M1 itself changed, so values changed in every mode
+# SHA-256 of every estimate of `_golden_streams`, re-recorded when
+# bipartite and general mode began to serve |M1| with no query: every nu,
+# every rep_values and every tradeoff estimate stayed as it was, bipartite
+# components lost `psi` and general ones trade `kappa` (always 0) for
+# `bound`
 GOLDEN_DIGEST = (
-    "b89c62cbf0026f69407acef5042e3cf2477ae33dbcd0e938dca9167cd044d2ee")
+    "1814231868d8303ff6071e9371e09007bf98b65b63694047dfdb57043ae3afc3")
 
 
 def served_values_digest():

@@ -552,10 +552,12 @@ def test_repetitions_with_equal_coins_share_one_draw(monkeypatch):
 
 def test_repetition_r_reads_bit_63_minus_r_mod_64_of_block_r_div_64():
     """Repetition r of a query takes its coins from bit 63 - r % 64 of
-    the words of block r // 64, so 65 repetitions read a second block; an
-    estimate's block q seed is `_mix(seed, q, stamp)`, its repetitions
-    are a prefix of those of any larger `reps`, and `reps = 1` serves the
-    value of repetition 0, whose coins are `coin`'s."""
+    the words of block r // 64, so 65 repetitions read a second block. The
+    query on an estimate's M1 takes block q's seed `_mix(seed, q, stamp)`,
+    in general mode (b = 9, the pass it no longer serves) and in tradeoff
+    mode (b = 16, the pass it serves); its repetitions are a prefix of
+    those of any larger `reps`, and `reps = 1` gives the value of
+    repetition 0, whose coins are `coin`'s."""
     m1 = Matching([(0, 1)])
     g = build(6, [(0, 1), (0, 5), (1, 2)])
     seeds = [estimator._mix(3, q, 17) for q in range(2)]
@@ -575,30 +577,39 @@ def test_repetition_r_reads_bit_63_minus_r_mod_64_of_block_r_div_64():
                 if u != v and not est.g.edge_exists(u, v):
                     est.insert(u, v)
             if step % 30 == 29:
-                _estimate_matches_dense_reference(ests[65])
-                _estimate_matches_dense_reference(ests[1])
-                values = {reps: est.estimate().rep_values
+                values = {reps: _estimate_matches_dense_reference(est)[1]
                           for reps, est in ests.items()}
                 assert values[65][:25] == values[25]
                 assert values[25][:1] == values[1]
 
 
 def _estimate_matches_dense_reference(est):
-    """Compare one estimate with the dense per-draw reference, on the same
-    M1 and the same per-repetition coins; return that M1's boundary."""
+    """Compare the query on an estimate's M1, at the estimate's seeds,
+    with the dense per-draw reference on the same per-repetition coins,
+    and the estimate with that query: a tradeoff estimate serves it, and a
+    general estimate serves |M1|, which every repetition equals, since the
+    maintained M1 has no 3-augmenting path. Return that M1's boundary and
+    the query's repetition values."""
     cfg, g = est.cfg, est.g
     b = B_GENERAL if cfg.mode == "general" else estimator.B_STAR
     m1 = est._live_matching()
-    se = est.estimate()
+    seeds = [estimator._mix(cfg.seed, q, g.ops)
+             for q in range(-(-cfg.reps // 64))]
+    draws, _ = estimator.general_query(g, m1, b, seeds, cfg.reps)
     # repetition r reads bit 63 - r % 64 of the words of block r // 64
-    ref = [dense_general_query(g, m1, b,
-                               estimator._mix(cfg.seed, r // 64, g.ops),
-                               63 - r % 64)
+    ref = [dense_general_query(g, m1, b, seeds[r // 64], 63 - r % 64)
            for r in range(cfg.reps)]
-    assert se.rep_values == [nu for nu, _ in ref]
-    assert se.nu == statistics.fmean(nu for nu, _ in ref)
-    assert se.components == {"m1": len(m1), "kappa": ref[-1][1]}
-    return Boundary(list(g.edges()), m1)
+    assert draws == ref
+    values = [nu for nu, _ in ref]
+    se = est.estimate()
+    assert se.rep_values == values
+    assert se.nu == statistics.fmean(values)
+    if cfg.mode == "general":
+        assert values == [float(len(m1))] * cfg.reps
+        assert se.components == {"m1": len(m1), "bound": "m1"}
+    else:
+        assert se.components == {"m1": len(m1), "kappa": ref[-1][1]}
+    return Boundary(list(g.edges()), m1), values
 
 
 @pytest.mark.parametrize("mode", ["general", "tradeoff"])
@@ -611,14 +622,15 @@ def test_shared_query_estimate_matches_dense_reference(mode):
         return est
 
     # edgeless graph, empty M1: no coin is computed
-    bd = _estimate_matches_dense_reference(fresh(7))
+    bd, _ = _estimate_matches_dense_reference(fresh(7))
     assert bd.free == [] and bd.partner == {}
     # edges, but M1 is perfect, so the boundary is empty
-    bd = _estimate_matches_dense_reference(fresh(4, [(0, 1), (2, 3), (1, 2)]))
+    bd, _ = _estimate_matches_dense_reference(
+        fresh(4, [(0, 1), (2, 3), (1, 2)]))
     assert bd.edges == [] and len(bd.partner) == 4
     # the only boundary edge reads one coin, that of free id 9
     est = fresh(10, [(0, 1), (1, 9)])
-    bd = _estimate_matches_dense_reference(est)
+    bd, _ = _estimate_matches_dense_reference(est)
     assert bd.edges == [(1, 0, 1)] and bd.free == [9]
     # an update that changes only the boundary of M1 = {01}: a query on
     # that M1 follows the new boundary
@@ -633,10 +645,10 @@ def test_shared_query_estimate_matches_dense_reference(mode):
     est.insert(0, 8)
     assert query() != before
     # the maintained M1 instead augments 8-0=1-9, which leaves no boundary
-    bd = _estimate_matches_dense_reference(est)
+    bd, _ = _estimate_matches_dense_reference(est)
     assert bd.partner == {0: 8, 8: 0, 1: 9, 9: 1} and bd.edges == []
     est.delete(1, 9)
-    bd = _estimate_matches_dense_reference(est)
+    bd, _ = _estimate_matches_dense_reference(est)
     assert bd.partner == {0: 8, 8: 0} and len(bd.edges) == 1
     # random ER streams with churn
     rng = random.Random(24)
