@@ -4,7 +4,9 @@ The centerpiece is an implicit supergraph H of the base graph G that supports
 ordered adjacency-list queries at a cost of at most one membership probe to G
 each, such that the random greedy maximal matching (GMM) of H restricted to G
 is near-maximal w.h.p. Status queries resolve a vertex's matched status under
-GMM locally via rank-based pruning, without materializing anything. For small
+GMM locally via rank-based pruning, without materializing anything; H's
+pendant edges are ranked by the pendant rule (`_pendant_ranks`), under which
+only the first pendant of each V* vertex can join GMM. For small
 n, `materialized_gmm` runs the global greedy scan over an explicit H; it is
 the one exact reference for the local oracle and the samplers.
 
@@ -148,17 +150,31 @@ class ImplicitSupergraph:
             return [("v", j) if j != i and probe(i, j) else ("vs", j)
                     for j in range(self.n)]
         if kind == "vs":
-            i = x[1]
-            probe = self.oracle.edge_exists
-            out = [("w", i, j) if j != i and probe(i, j) else ("v", j)
-                   for j in range(self.n)]
-            out.extend([("u", i, j) for j in range(1, self.s + 1)])
+            out = self._shadow_row(x[1])
+            out.extend([("u", x[1], j) for j in range(1, self.s + 1)])
             return out
         out = []
         for j in range(1, self.degree(x) + 1):
             y = self.list_query(x, j)
             if y is not None:
                 out.append(y)
+        return out
+
+    def _shadow_row(self, i: int) -> List[Tuple]:
+        """The first n neighbours of ("vs", i), one probe per base index."""
+        probe = self.oracle.edge_exists
+        return [("w", i, j) if j != i and probe(i, j) else ("v", j)
+                for j in range(self.n)]
+
+    def gmm_neighbors_of(self, x) -> List[Tuple]:
+        """`neighbors_of(x)` less the edges GMM can never take under the
+        pendant rule (`_pendant_ranks`): a V* vertex keeps only its first
+        pendant ("u", i, 1), whose edge is its lowest-ranked pendant edge.
+        No pendant past the first is built."""
+        if x[0] != "vs":
+            return self.neighbors_of(x)
+        out = self._shadow_row(x[1])
+        out.append(("u", x[1], 1))
         return out
 
     def materialize(self) -> Tuple[List[Tuple], List[Tuple[Tuple, Tuple]]]:
@@ -174,12 +190,52 @@ class ImplicitSupergraph:
                 verts.append(("w", i, j))
             for j in range(1, self.s + 1):
                 verts.append(("u", i, j))
-        canonical = RankFunction.canonical
+        # each vertex's repr taken once; the name order of
+        # `RankFunction.canonical`
+        rep = {x: repr(x) for x in verts}
         edges = set()
         for i in range(self.n):
             for x in (("v", i), ("vs", i)):
-                edges.update(canonical(x, y) for y in self.neighbors_of(x))
+                rx = rep[x]
+                edges.update((x, y) if rx <= rep[y] else (y, x)
+                             for y in self.neighbors_of(x))
         return verts, sorted(edges)
+
+
+# -- the pendant rule -------------------------------------------------------
+
+
+def _pendant_ranks(h: Sequence[float], s: int) -> List[float]:
+    """The ranks in H of the pendant edges (vs_i, u_i1), (vs_i, u_i2), ...
+    of one V* vertex with s pendants, from the `RankFunction` rank h[j-1]
+    of each edge's own name (a prefix of the s will do).
+
+    The first edge holds the minimum of s i.i.d. U(0, 1), whose CDF is
+    1 - (1 - x)^s: r_1 = 1 - (1 - h_1)^(1/s). Given that minimum, the
+    others are i.i.d. uniform above it: r_j = r_1 + (1 - r_1) h_j. The s
+    pendants are exchangeable, so this relabelling leaves the law of every
+    V and V* vertex's status under GMM as it is. It lets the local oracle
+    rank one pendant edge per V* vertex instead of s: u_i1's edge sorts
+    first among them, under a rank tie by name too, so GMM matches vs_i at
+    or below it and never takes a later one."""
+    r1 = -math.expm1(math.log1p(-h[0]) / s)
+    return [r1] + [r1 + (1.0 - r1) * x for x in h[1:]]
+
+
+def _supergraph_sort_key(ranks: RankFunction, s: int, a, b
+                         ) -> Tuple[float, Tuple]:
+    """The sort_key of edge (a, b) of H (s pendants per V* vertex):
+    `ranks.sort_key`, with a U-class edge re-ranked by `_pendant_ranks`."""
+    key = ranks.sort_key(a, b)
+    name = key[1]
+    u = name[0]  # a U vertex's repr sorts before its V* vertex's
+    if u[0] != "u":
+        return key
+    _, i, j = u
+    if j == 1:
+        return (_pendant_ranks([key[0]], s)[0], name)
+    h1 = ranks.sort_key(("u", i, 1), ("vs", i))[0]
+    return (_pendant_ranks([h1, key[0]], s)[1], name)
 
 
 # -- local GMM status ------------------------------------------------------
@@ -205,12 +261,16 @@ class _LocalGMM:
     An incidence is ranked in one batch through `RankFunction.ranks_of`,
     the one place a rank is hashed, and `sort_key` is called only for the
     edge being decided and to break rank ties.
+
+    Over an `ImplicitSupergraph` the edges are ranked by the pendant rule
+    (`_pendant_ranks`, `_supergraph_sort_key`), and a V* vertex's
+    incidence holds its n V/W neighbours and its first pendant only
+    (`gmm_neighbors_of`): n + 1 ranks instead of n + s.
     """
 
     def __init__(self, host, ranks: RankFunction,
                  budget: Optional[QueryBudget] = None,
                  probe_source: Optional[AdjacencyOracle] = None):
-        self.host = host
         self.ranks = ranks
         self.budget = budget
         self.probe_source = probe_source
@@ -218,6 +278,15 @@ class _LocalGMM:
         self.edge_memo: Dict[Tuple, bool] = {}
         self._incidence_memo: Dict = {}
         self._probe_floor = 0
+        if isinstance(host, ImplicitSupergraph):
+            self._pendants = host.s
+            self._neighbors = host.gmm_neighbors_of
+            self.sort_key = functools.partial(_supergraph_sort_key, ranks,
+                                              host.s)
+        else:
+            self._pendants = 0
+            self._neighbors = host.neighbors_of
+            self.sort_key = ranks.sort_key
 
     def _check_budget(self) -> None:
         if (self.budget and self.budget.max_probes is not None
@@ -230,16 +299,27 @@ class _LocalGMM:
     def _incidence(self, x) -> Tuple[array, List]:
         """x's neighbours in increasing sort_key order of the edge (x, y),
         with the rank of each edge. All of x's edges are ranked in one
-        `rank_order` batch, with x's repr taken once."""
+        `ranks_of` batch, with x's repr taken once, and sorted by the full
+        sort_key only if a rank repeats. Under the pendant rule a V*
+        vertex's first pendant, listed last, is re-ranked, and a U vertex's
+        one edge is ranked by its sort_key."""
         inc = self._incidence_memo.get(x)
         if inc is None:
-            neigh = self.host.neighbors_of(x)
-            rx = repr(x)
-            name = RankFunction.name_bytes
-            key = self.ranks.sort_key
-            ranks, order = self.ranks.rank_order(
-                [name(rx, repr(y)) for y in neigh],
-                lambda i: key(x, neigh[i]))
+            neigh = self._neighbors(x)
+            key = self.sort_key
+            if self._pendants and x[0] == "u":
+                ranks = [key(x, y)[0] for y in neigh]
+            else:
+                rx = repr(x)
+                name = RankFunction.name_bytes
+                ranks = self.ranks.ranks_of([name(rx, repr(y)) for y in neigh])
+                if self._pendants and x[0] == "vs":
+                    ranks[-1] = _pendant_ranks(ranks[-1:], self._pendants)[0]
+            if len(set(ranks)) == len(ranks):
+                order = sorted(range(len(ranks)), key=ranks.__getitem__)
+            else:
+                order = sorted(range(len(ranks)),
+                               key=lambda i: key(x, neigh[i]))
             inc = (array("d", [ranks[i] for i in order]),
                    [neigh[i] for i in order])
             self._incidence_memo[x] = inc
@@ -252,7 +332,7 @@ class _LocalGMM:
         r = my_key[0]
         end = bisect_left(ranks, r)
         while (end < len(ranks) and ranks[end] == r
-               and self.ranks.sort_key(x, neigh[end]) < my_key):
+               and self.sort_key(x, neigh[end]) < my_key):
             end += 1
         return ranks, neigh, end
 
@@ -285,7 +365,7 @@ class _LocalGMM:
     def _frame(self, e: Tuple):
         self._check_budget()
         a, b = e
-        my_key = self.ranks.sort_key(a, b)
+        my_key = self.sort_key(a, b)
         ra, na, ea = self._lower_prefix(a, my_key)
         rb, nb, eb = self._lower_prefix(b, my_key)
         # merge the two sorted prefixes by sort_key
@@ -293,8 +373,8 @@ class _LocalGMM:
         i = j = 0
         while i < ea and j < eb:
             if ra[i] < rb[j] or (
-                    ra[i] == rb[j] and self.ranks.sort_key(a, na[i])
-                    < self.ranks.sort_key(b, nb[j])):
+                    ra[i] == rb[j] and self.sort_key(a, na[i])
+                    < self.sort_key(b, nb[j])):
                 lower.append((a, na[i]))
                 i += 1
             else:
@@ -400,22 +480,27 @@ def mm_size_estimate(g: DynamicGraph, eps: float, seed: int,
 @functools.lru_cache(maxsize=1)
 def _materialized_h(n: int, edges: FrozenSet[Tuple[int, int]], delta: float
                     ) -> Tuple[Tuple[bytes, ...], Tuple[Tuple[int, int], ...],
-                               Tuple[Tuple, ...]]:
+                               Tuple[Tuple, ...], int]:
     """The seed-independent part of GMM over a materialized H (parameter
     delta) for the graph on [0, n) with `edges`: H's edges in name order,
     each as its `RankFunction.name_bytes` and as a pair of endpoint ids,
-    and the H vertex of each id, with ("v", i) numbered i. The last graph
-    is kept, so a run of seeds on one graph builds H once."""
+    the H vertex of each id, with ("v", i) numbered i, and s, the number
+    of pendants per V* vertex. As ("u", ...) sorts before every other
+    vertex, the n * s U-class edges lead the name order, those of
+    ("vs", i) at [i * s, (i + 1) * s) in pendant order.
+    The last graph is kept, so a run of seeds on one graph builds H once."""
     g = DynamicGraph(n)
     for e in edges:
         g.insert(*e)
-    _, h_edges = ImplicitSupergraph(AdjacencyOracle(g), delta).materialize()
+    h = ImplicitSupergraph(AdjacencyOracle(g), delta)
+    verts, h_edges = h.materialize()
+    rep = {x: repr(x) for x in verts}
     ids = {("v", i): i for i in range(n)}
     name = RankFunction.name_bytes
-    names = tuple(name(repr(a), repr(b)) for (a, b) in h_edges)
+    names = tuple(name(rep[a], rep[b]) for (a, b) in h_edges)
     ends = tuple((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
                  for (a, b) in h_edges)
-    return names, ends, tuple(ids)
+    return names, ends, tuple(ids), h.s
 
 
 def materialized_gmm(g: DynamicGraph, delta: float, ranks: RankFunction
@@ -424,11 +509,17 @@ def materialized_gmm(g: DynamicGraph, delta: float, ranks: RankFunction
     its partner map on H vertices: the greedy scan in increasing sort_key
     order, the exact reference for the local status oracle (small n only).
     H is built once per graph and delta (`_materialized_h`); the ranks
-    only re-order its edges. A stable sort of the name-ordered edges by
-    rank breaks ties by name, as `RankFunction.sort_key` orders them; the
-    scan runs on endpoint ids."""
-    names, ends, verts = _materialized_h(g.n, frozenset(g.edges()), delta)
+    only re-order its edges. Every edge of H is ranked, all s pendants of
+    each V* vertex too: one `ranks_of` batch, then the pendant rule
+    (`_pendant_ranks`) on each V* vertex's pendant edges, so the scan
+    checks that the local oracle may drop all but the first. A stable sort
+    of the name-ordered edges by rank breaks ties by name, as
+    `RankFunction.sort_key` orders them; the scan runs on endpoint ids."""
+    names, ends, verts, s = _materialized_h(g.n, frozenset(g.edges()),
+                                            delta)
     r = ranks.ranks_of(names)
+    for lo in range(0, g.n * s, s):
+        r[lo:lo + s] = _pendant_ranks(r[lo:lo + s], s)
     partner = first_pass_matching(
         ends[i] for i in sorted(range(len(names)), key=r.__getitem__)
     ).partner

@@ -464,20 +464,28 @@ def test_estimator_empty_graph_and_simple_fill():
     assert se.nu <= 19
 
 
-def test_estimator_reports_are_deterministic():
+@pytest.mark.parametrize("mode", ["bipartite", "general", "tradeoff"])
+def test_estimator_reports_are_deterministic(mode):
+    """Two runs of one stream give equal estimates: value, repetitions and
+    components. Tradeoff mode is the one that still draws coins, and on this
+    stream its repetitions disagree at some estimate, so the coins reach
+    the values compared."""
     def run():
-        est = Estimator(30, EstimatorConfig(mode="general", eps=0.3, seed=5,
+        est = Estimator(30, EstimatorConfig(mode=mode, eps=0.3, seed=5,
                                             reps=7))
-        rng = random.Random(1)
         out = []
-        for _ in range(200):
-            u, v = rng.randrange(30), rng.randrange(30)
-            if u != v and not est.g.edge_exists(u, v):
-                est.insert(u, v)
-                out.append(est.estimate().nu)
+        for ev in generate_workload("random-er", 30, 0, horizon=400,
+                                    query_every=1):
+            if ev.kind == "q":
+                out.append(est.estimate())
+            else:
+                est.apply(ev)
         return out
 
-    assert run() == run()
+    first = run()
+    assert first == run()
+    split = [e for e in first if len(set(e.rep_values)) > 1]
+    assert bool(split) == (mode == "tradeoff")
 
 
 @pytest.mark.parametrize("mode", ["tradeoff", "general"])

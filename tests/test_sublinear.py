@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import statistics
 import struct
 
 import pytest
@@ -83,18 +84,35 @@ def test_budget_breach_restarts_then_aborts():
         sim.vertex_matched(("v", 0))
 
 
-def test_budget_breach_redraws_once():
+def test_budget_breach_redraws_once(monkeypatch):
     """A sampled draw that breaches the budget is replaced by one fresh
     draw, and a breach of that fresh draw raises. The pinned values are
-    those each estimator's own sampling loop gave before the loop was
-    shared."""
+    those the shared sampling loop gives under the pendant rule, and each
+    is re-derived from `materialized_gmm`: every status the sampler
+    answered is the reference's, and the pin is the estimate's formula
+    over them."""
     rng = random.Random(3)
     g = build(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
                    if rng.random() < 0.3])
     with pytest.raises(BudgetExceeded):
         mm_size_estimate(g, 0.4, 0, QueryBudget(70), force_sampling=True)
-    assert mm_size_estimate(g, 0.4, 0, QueryBudget(100),
-                            force_sampling=True) == 3.379545454545455
+    answered = []
+    status = _LocalGMM.vertex_matched
+
+    def answer(sim, x):
+        answered.append((x, status(sim, x)))
+        return answered[-1][1]
+
+    monkeypatch.setattr(_LocalGMM, "vertex_matched", answer)
+    nu = mm_size_estimate(g, 0.4, 0, QueryBudget(100), force_sampling=True)
+    monkeypatch.undo()
+    assert nu == 2.851136363636364
+    matched = materialized_gmm(g, 0.1, RankFunction(0))
+    assert all((x in matched) == hit for x, hit in answered)
+    hits = sum(hit for _, hit in answered)
+    samples = math.ceil(64.0 * math.log(14) / 0.4**2)
+    assert len(answered) == samples
+    assert nu == (hits / samples - 0.4 / 4.0 - 0.1) * 12 / 2.0
     # the same loop with the draws counted: each breach costs one more draw
     drawn = []
 
@@ -111,6 +129,9 @@ def test_budget_breach_redraws_once():
         estimate_pair_matched(g8, mstar, 0.5, 0, sample_constant=4,
                               budget=QueryBudget(30),
                               force_sampling=True)
+    # GMM matches both ends of all four M* edges, so every draw hits and
+    # kappa = 4 L / L - n eps^2 / 2 = 3
+    assert exact_pair_matched_count(g8, mstar, 0.5, 0) == 4
     assert estimate_pair_matched(g8, mstar, 0.5, 0, sample_constant=4,
                                  budget=QueryBudget(50),
                                  force_sampling=True) == 3.0
@@ -354,7 +375,8 @@ def test_sampling_path_agrees_with_materialized_reference():
 
 def test_exact_pair_count_matches_sort_key_gmm():
     """The reference re-ranks one cached H per graph; its partner map is the
-    greedy scan over `materialize()`'s edges sorted by `sort_key`, graph
+    greedy scan over `materialize()`'s edges, all s pendants of every V*
+    vertex included, sorted by the H rule's key (`_h_sort_key`), graph
     after graph and under rank ties, and the exact count reads it. Dense
     graphs leave some base vertex unmatched, and which one depends on the
     ranks."""
@@ -363,12 +385,13 @@ def test_exact_pair_count_matches_sort_key_gmm():
         n, eps = rng.randrange(2, 7), 0.9
         g = _random_graph(n, 0.8, rng)
         delta = eps**2 / 8.0
-        _, h_edges = ImplicitSupergraph(AdjacencyOracle(g), delta).materialize()
+        h = ImplicitSupergraph(AdjacencyOracle(g), delta)
+        _, h_edges = h.materialize()
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
 
         def spec(ranks):
-            return first_pass_matching(
-                sorted(h_edges, key=lambda e: ranks.sort_key(*e))).partner
+            return first_pass_matching(sorted(
+                h_edges, key=lambda e: _h_sort_key(ranks, h.s, *e))).partner
 
         for seed in range(2):
             tied = _FourRanks(seed)
@@ -405,6 +428,20 @@ def test_sort_key_matches_reference_formula():
             assert r.sort_key(b, a) == want
             assert r.rank(a, b) == want[0]
             assert r.ranks_of([repr(want[1]).encode()])[0] == want[0]
+
+
+def _h_sort_key(ranks, s, a, b):
+    """The rank rule of H spelled out: `ranks.sort_key`, except that the
+    edge of pendant ("u", i, j) ranks as r_1 = 1 - (1 - h_1)^(1/s) for
+    j = 1, the minimum of s uniforms, and as r_1 + (1 - r_1) h_j above it
+    for j >= 2, with h_j the plain rank of that pendant's own edge."""
+    rank, name = ranks.sort_key(a, b)
+    u = name[0]
+    if u[0] != "u":
+        return rank, name
+    _, i, j = u
+    r1 = -math.expm1(math.log1p(-ranks.rank(("vs", i), ("u", i, 1))) / s)
+    return (r1 if j == 1 else r1 + (1.0 - r1) * rank), name
 
 
 class _FourRanks(RankFunction):
@@ -449,8 +486,10 @@ def test_neighbors_of_matches_list_query():
 
 def test_incidence_is_bit_identical_to_sort_key_order():
     """One batched ranking per incidence gives exactly the ranks and order
-    of sorting each edge by its own `sort_key`; under `_FourRanks` every
-    incidence repeats a rank and takes the tie fallback."""
+    of sorting each edge by the H rule's key (`_h_sort_key`): a V vertex's
+    n edges, a V* vertex's n non-U edges and its first pendant's, and a U
+    vertex's one edge. Under `_FourRanks` most incidences repeat a rank
+    and take the tie fallback."""
     rng = random.Random(24)
     for trial in range(4):
         n = rng.randrange(2, 8)
@@ -460,13 +499,73 @@ def test_incidence_is_bit_identical_to_sort_key_order():
             for ranks in (RankFunction(seed), _FourRanks(seed)):
                 sim = _LocalGMM(h, ranks)
                 for i in range(n):
-                    for x in (("v", i), ("vs", i)):
-                        want = sorted((ranks.sort_key(x, y), y)
-                                      for y in h.neighbors_of(x))
+                    for x in (("v", i), ("vs", i), ("u", i, 1), ("u", i, 2)):
+                        neigh = h.neighbors_of(x)
+                        if x[0] == "vs":
+                            neigh = [y for y in neigh if y[0] != "u"]
+                            neigh.append(("u", i, 1))
+                        want = sorted((_h_sort_key(ranks, h.s, x, y), y)
+                                      for y in neigh)
                         got_ranks, got_neigh = sim._incidence(x)
                         assert ([r.hex() for r in got_ranks]
                                 == [k[0].hex() for k, _ in want])
                         assert got_neigh == [y for _, y in want]
+
+
+def test_local_status_equals_reference_under_pendant_rule():
+    """The local oracle ranks one pendant per V* vertex where the reference
+    ranks all s of them; both give GMM the same status at every V and V*
+    vertex and at the first two pendants of each, over random graphs, three
+    deltas (eps^2/8 at eps = 1/2 among them, s = 320n), plain and tied
+    ranks, and seeds negative and large."""
+    rng = random.Random(29)
+    for trial in range(10):
+        n = rng.randrange(2, 9)
+        g = _random_graph(n, rng.choice([0.2, 0.5, 0.9]), rng)
+        for delta in (0.9, 0.35, 0.5**2 / 8.0):
+            for seed in (trial, -1 - trial, 2**100 + trial):
+                for ranks in (RankFunction(seed), _FourRanks(seed)):
+                    matched = materialized_gmm(g, delta, ranks)
+                    o = AdjacencyOracle(g)
+                    sim = _LocalGMM(ImplicitSupergraph(o, delta), ranks,
+                                    BIG, o)
+                    # the full scan never matches a pendant past the first
+                    assert all(x[0] != "u" or x[2] == 1 for x in matched)
+                    for i in range(n):
+                        for x in (("v", i), ("vs", i), ("u", i, 1),
+                                  ("u", i, 2)):
+                            sim.begin_query()
+                            assert sim.vertex_matched(x) == (x in matched)
+
+
+def test_pendant_ranks_have_the_law_of_s_uniforms():
+    """Over many (seed, vertex) pairs, the first pendant's rank r_1 has the
+    CDF 1 - (1 - x)^s of the minimum of s uniforms, at two values of x
+    within 3 sigma, every later pendant ranks at or above r_1, and
+    (r_j - r_1) / (1 - r_1) is uniform: its mean and its share below 1/4
+    are within 3 sigma."""
+    n = 4
+    h = ImplicitSupergraph(AdjacencyOracle(DynamicGraph(n)), 0.5**2 / 8.0)
+    s = h.s
+    firsts, lifts = [], []
+    for seed in range(600):
+        sim = _LocalGMM(h, RankFunction(seed - 300))
+        for i in range(n):
+            vs = ("vs", i)
+            r1 = sim.sort_key(vs, ("u", i, 1))[0]
+            firsts.append(r1)
+            for j in (2, 3, s):
+                rj = sim.sort_key(vs, ("u", i, j))[0]
+                assert rj >= r1
+                lifts.append((rj - r1) / (1 - r1))
+    for p in (0.3, 0.7):
+        x = -math.expm1(math.log1p(-p) / s)  # 1 - (1 - x)^s == p
+        share = sum(r <= x for r in firsts) / len(firsts)
+        assert abs(share - p) <= 3 * math.sqrt(p * (1 - p) / len(firsts))
+    m = len(lifts)
+    assert abs(statistics.fmean(lifts) - 0.5) <= 3 * math.sqrt(1 / 12 / m)
+    share = sum(u < 0.25 for u in lifts) / m
+    assert abs(share - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / m)
 
 
 def test_sort_edges_is_sort_key_order():
