@@ -6,19 +6,18 @@ update, in O(deg^2) neighbour reads. That certifies |M1| >= (2/3)mu at any
 size, which `check_two_thirds` checks in O(n + m).
 
 The paper's kernel pipeline is kept as a library, with one validator per
-object: an approximately-maximal fractional matching (AMfM, a plain
-edge -> value map that `validate_amfm` checks for feasibility and
-approximate maximality) -> value-level sparsification -> bounded-degree
-kernel (`validate_kernel`) -> static matching extraction with an explicit
-removal witness. The paper's sparsifier samples colour classes at
-each level; under the provider's degree bound d every sample would cover its
-level's whole palette, so `edge_color_and_sparsify` takes every level
-wholesale and the kernel is every live edge ordered by level.
-`AMMMaintainer.rebuild`, which no update calls, is one greedy pass over the
-live edges in that order (`level_ordered_edges`) followed by the repair's
-augmenting sweep.
+object, each raising on its first failure: an approximately-maximal
+fractional matching (AMfM, a plain edge -> value map that `validate_amfm`
+checks for feasibility and approximate maximality) -> value-level
+sparsification -> bounded-degree kernel (`validate_kernel`) -> static
+matching extraction with an explicit removal witness. The paper's
+sparsifier samples colour classes at each level; under the provider's
+degree bound d every sample would cover its level's whole palette, so
+`edge_color_and_sparsify` takes every level wholesale and the kernel is
+every live edge ordered by level. `AMMMaintainer.rebuild`, which no update
+calls, runs that pipeline, one greedy pass over the kernel in its order and
+the repair's augmenting sweep.
 """
-
 from __future__ import annotations
 
 import math
@@ -63,44 +62,33 @@ def _is_edge(g: DynamicGraph, u: int, v: int) -> bool:
     return 0 <= u < v < g.n and v in g.adj[u]
 
 
-def validate_amfm(g: DynamicGraph, amfm: AMfM) -> dict:
+def validate_amfm(g: DynamicGraph, amfm: AMfM) -> None:
     """Feasibility, then a literal check of the defining property over every
-    edge of g. Feasible: every value is nonnegative and on an edge of g, and
-    every fractional degree is at most 1."""
+    edge of g; raises ValidationFailed at the first failure. Feasible: every
+    value is nonnegative and on an edge of g, and every fractional degree is
+    at most 1."""
     x = amfm.x
     fdeg: Dict[int, float] = {}
     maxx: Dict[int, float] = {}
     for (u, v), xe in x.items():
         if not xe >= 0:
-            return {"ok": False, "violation": f"value {xe} on ({u},{v})"}
+            raise ValidationFailed(f"value {xe} on ({u},{v})")
         if not _is_edge(g, u, v):
-            return {"ok": False,
-                    "violation": f"({u},{v}) is not an edge (min, max) of g"}
+            raise ValidationFailed(f"({u},{v}) is not an edge (min, max) of g")
         for w in (u, v):
             s = fdeg[w] = fdeg.get(w, 0.0) + xe
             if s > 1.0 + _TOL:
-                return {"ok": False,
-                        "violation": f"fractional degree {s} > 1 at {w}"}
+                raise ValidationFailed(f"fractional degree {s} > 1 at {w}")
             maxx[w] = max(maxx.get(w, 0.0), xe)
     inv_d = 1.0 / amfm.d
     inv_c = 1.0 / amfm.c
     for (u, v) in g.edges():
-        xe = x.get((u, v), 0.0)
-        if xe > inv_d + _TOL:
+        # heavy: x_e > 1/d, the strict inequality up to float noise
+        if x.get((u, v), 0.0) > inv_d - _TOL:
             continue
-        ok = False
-        for w in (u, v):
-            if (fdeg.get(w, 0.0) >= inv_c - _TOL
-                    and maxx.get(w, 0.0) <= inv_d + _TOL):
-                ok = True
-                break
-        if not ok and xe > inv_d - _TOL and xe <= inv_d + _TOL:
-            # boundary case: strict inequality up to float noise
-            continue
-        if not ok:
-            return {"ok": False,
-                    "violation": f"edge ({u},{v}) neither heavy nor blocked"}
-    return {"ok": True}
+        if not any(fdeg.get(w, 0.0) >= inv_c - _TOL
+                   and maxx.get(w, 0.0) <= inv_d + _TOL for w in (u, v)):
+            raise ValidationFailed(f"edge ({u},{v}) neither heavy nor blocked")
 
 
 def required_degree_bound(n: int, c: float, eps: float) -> int:
@@ -130,15 +118,13 @@ def fractional_provider(g: DynamicGraph, eps: float) -> AMfM:
     endpoint has all incident values <= 1/d and fractional degree close to 1.
     d is `provider_degree_bound`. x has every edge of g, in g's edge order.
     Output is validated by `validate_amfm`, feasibility included, never
-    assumed.
+    assumed: raises ValidationFailed.
     """
     d = provider_degree_bound(g, eps)
     adj = g.adj
     x = {e: 1.0 / max(len(adj[e[0]]), len(adj[e[1]])) for e in g.edges()}
     amfm = AMfM(x=x, c=1.0 + 2.0 * eps, d=d)
-    report = validate_amfm(g, amfm)
-    if not report["ok"]:
-        raise ValidationFailed(report["violation"])
+    validate_amfm(g, amfm)
     return amfm
 
 
@@ -165,26 +151,26 @@ class Kernel:
         return self.degrees.get(v, 0)
 
 
-def validate_kernel(g: DynamicGraph, k: Kernel) -> dict:
+def validate_kernel(g: DynamicGraph, k: Kernel) -> None:
+    """Raises KernelValidationFailed at the first kernel degree above k.d,
+    kernel edge outside g, or edge of g left out of the kernel with no
+    endpoint of kernel degree at least d(1 - eps)."""
     for v, dv in k.degrees.items():
         if dv > k.d:
-            return {"ok": False, "violation": f"kernel degree {dv} > {k.d} at {v}"}
+            raise KernelValidationFailed(f"kernel degree {dv} > {k.d} at {v}")
     kernel_set = set()
     for (u, v) in k.edges:
         e = norm_edge(u, v)
         if not _is_edge(g, *e):
-            return {"ok": False,
-                    "violation": f"kernel edge ({u},{v}) is not in g"}
+            raise KernelValidationFailed(f"kernel edge ({u},{v}) is not in g")
         kernel_set.add(e)
     threshold = k.d * (1.0 - k.eps)
     for (u, v) in g.edges():
         if (u, v) in kernel_set:
             continue
         if k.degree(u) < threshold and k.degree(v) < threshold:
-            return {"ok": False,
-                    "violation": f"excluded edge ({u},{v}) lacks a "
-                                 f"near-{k.d}-degree endpoint"}
-    return {"ok": True}
+            raise KernelValidationFailed(
+                f"excluded edge ({u},{v}) lacks a near-{k.d}-degree endpoint")
 
 
 def level_of(xe: float, eps: float) -> int:
@@ -199,41 +185,16 @@ def edge_color_and_sparsify(g: DynamicGraph, amfm: AMfM, eps: float) -> Kernel:
     sample of each level's colour classes; at the provider's d the sample
     covers the whole palette, so the kernel is every level in full, in
     ascending level order and in the AMfM's order within a level. Output is
-    validated, never assumed: raises KernelValidationFailed when a kernel
-    degree exceeds amfm.d.
+    validated by `validate_kernel`, never assumed: raises
+    KernelValidationFailed, for instance when a kernel degree exceeds amfm.d.
     """
     levels: Dict[int, List[Edge]] = {}
     for e, xe in amfm.x.items():
         levels.setdefault(level_of(xe, eps), []).append(e)
     kern = Kernel(edges=[e for i in sorted(levels) for e in levels[i]],
                   d=amfm.d, eps=eps)
-    report = validate_kernel(g, kern)
-    if not report["ok"]:
-        raise KernelValidationFailed(report["violation"])
+    validate_kernel(g, kern)
     return kern
-
-
-def level_ordered_edges(g: DynamicGraph, eps: float) -> List[Edge]:
-    """The edges of the kernel `edge_color_and_sparsify` returns for
-    `fractional_provider`'s AMfM, in its order, built straight from the live
-    graph: every edge ordered by the level of its spread value,
-    ascending, in insertion order within a level. The level depends only on
-    d = max(deg u, deg v), so it is computed once per distinct d, and one
-    pass over the edges buckets them by level."""
-    adj = g.adj
-    levels: Dict[int, List[Edge]] = {}
-    bucket_of: Dict[int, List[Edge]] = {}
-    for e in g.edges():
-        du = len(adj[e[0]])
-        dv = len(adj[e[1]])
-        d = du if du > dv else dv
-        bucket = bucket_of.get(d)
-        if bucket is None:
-            # 1.0 / d is the float `fractional_provider` gives
-            bucket = bucket_of[d] = levels.setdefault(
-                level_of(1.0 / d, eps), [])
-        bucket.append(e)
-    return [e for i in sorted(levels) for e in levels[i]]
 
 
 # -- static matching extraction -------------------------------------------
@@ -407,15 +368,14 @@ class AMMMaintainer(DynamicMaximalMatching):
     new path. An update thus augments at most twice and reads O(deg^2)
     neighbours; `work` charges 1 per update and every neighbour read.
     `rebuild`, which no update calls, recomputes the matching from the
-    live graph, swaps it in and restores the invariant; its report is
-    `empty` on an edgeless graph, otherwise `branch="kernel"` and the
-    `kernel_edges` it read.
+    live graph through the kernel pipeline, swaps it in and restores the
+    invariant; its report is `empty` on an edgeless graph, otherwise
+    `branch="kernel"` and the `kernel_edges` it read.
     """
 
     def __init__(self, g: DynamicGraph, eps: float):
         super().__init__(g)
         self.eps = eps
-        self.rebuild_count = 0
         self.last_rebuild_report: dict = {}
 
     def matching(self) -> Matching:
@@ -472,20 +432,21 @@ class AMMMaintainer(DynamicMaximalMatching):
     def rebuild(self) -> None:
         """Recompute the matching from the live graph and swap it in.
 
-        It is one greedy maximal matching over the live edges in the order
-        of `level_ordered_edges`, the kernel the library pipeline would
-        return, then one `augment_short_paths` sweep. Each live edge is
-        read a constant number of times, so a rebuild is charged g.m plus
-        the sweep's reads.
+        It is one greedy maximal matching over the kernel of the library
+        pipeline, `fractional_provider` -> `edge_color_and_sparsify`, in its
+        order, then one `augment_short_paths` sweep. Each live edge is read
+        a constant number of times, so a rebuild is charged g.m plus the
+        sweep's reads.
         """
         g = self.g
-        self.rebuild_count += 1
         self.work += g.m
         if g.m == 0:
             self.m = Matching()
             self.last_rebuild_report = {"empty": True}
         else:
-            self.m = first_pass_matching(level_ordered_edges(g, self.eps))
+            eps = self.eps
+            kern = edge_color_and_sparsify(g, fractional_provider(g, eps), eps)
+            self.m = first_pass_matching(kern.edges)
             self.work += augment_short_paths(g, self.m)
             self.last_rebuild_report = {"branch": "kernel",
                                         "kernel_edges": g.m}

@@ -236,42 +236,43 @@ class BMatching:
                 raise NotMaximal(f"b-matching not maximal at ({u},{v})")
 
 
-def validate(g: DynamicGraph, sol) -> dict:
+def validate(g: DynamicGraph, sol) -> None:
     """Check a solution object against its invariants and the host graph.
 
-    Returns {"ok": True} or {"ok": False, "violation": <first failure>}.
+    Raises at the first failure: OutOfRange for a vertex outside [0, n),
+    GraphError for any other. An object that is neither a Matching nor a
+    BMatching raises TypeError.
     """
     if isinstance(sol, Matching):
         seen: Dict[int, Edge] = {}
         for (u, v) in sol.edges():
             if not (0 <= u < g.n and 0 <= v < g.n):
-                return {"ok": False, "violation": f"vertex out of range in ({u},{v})"}
+                raise OutOfRange(f"vertex out of range in ({u},{v})")
             if not g.edge_exists(u, v):
-                return {"ok": False, "violation": f"edge ({u},{v}) missing from graph"}
+                raise GraphError(f"edge ({u},{v}) missing from graph")
             for w in (u, v):
                 if w in seen:
-                    return {"ok": False, "violation": f"vertex {w} matched twice"}
+                    raise GraphError(f"vertex {w} matched twice")
                 seen[w] = (u, v)
         for v, p in sol.partner.items():
             if sol.partner.get(p) != v:
-                return {"ok": False, "violation": f"partner map asymmetric at {v}"}
-        return {"ok": True}
-    if isinstance(sol, BMatching):
+                raise GraphError(f"partner map asymmetric at {v}")
+    elif isinstance(sol, BMatching):
         loads: Dict[int, int] = {}
         for (u, v), c in sol.mult.items():
             if not g.edge_exists(u, v):
-                return {"ok": False, "violation": f"edge ({u},{v}) missing from graph"}
+                raise GraphError(f"edge ({u},{v}) missing from graph")
             loads[u] = loads.get(u, 0) + c
             loads[v] = loads.get(v, 0) + c
         for v, used in loads.items():
             if v not in sol.caps:
-                return {"ok": False, "violation": f"vertex {v} has no capacity"}
+                raise GraphError(f"vertex {v} has no capacity")
             if used > sol.caps[v]:
-                return {"ok": False, "violation": f"capacity breach at {v}"}
+                raise GraphError(f"capacity breach at {v}")
             if sol.load.get(v, 0) != used:
-                return {"ok": False, "violation": f"load cache stale at {v}"}
-        return {"ok": True}
-    raise TypeError(f"cannot validate object of type {type(sol)!r}")
+                raise GraphError(f"load cache stale at {v}")
+    else:
+        raise TypeError(f"cannot validate object of type {type(sol)!r}")
 
 
 # -- shared update-stream text format -------------------------------------

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -42,8 +41,8 @@ class RankFunction:
     for structured names (supergraph vertices), so the local oracle never has
     to materialize a permutation.
 
-    The canonical name puts the endpoints in `repr` order (`canonical`), and
-    the PRF input is that name's `repr` (`name_bytes`). `ranks_of` is the one
+    The canonical name puts the endpoints in `repr` order, and the PRF
+    input is that name's `repr` (`name_bytes`). `ranks_of` is the one
     place a rank is hashed: `sort_key` ranks a single name through it, and
     `sort_edges` ranks a whole edge list in one call, so a subclass that
     overrides `ranks_of` changes every rank.
@@ -55,10 +54,6 @@ class RankFunction:
         # keyed once; each hash continues from a copy of this state
         self._prf = hashlib.blake2b(
             digest_size=8, key=seed.to_bytes(16, "little", signed=True))
-
-    @staticmethod
-    def canonical(a, b) -> Tuple:
-        return (a, b) if repr(a) <= repr(b) else (b, a)
 
     @staticmethod
     def name_bytes(ra: str, rb: str) -> bytes:
@@ -85,25 +80,19 @@ class RankFunction:
             out.append(int.from_bytes(h.digest(), "little") / 2.0**64)
         return out
 
-    def rank_order(self, names: Sequence[bytes], key: Callable[[int], Tuple]
-                   ) -> Tuple[List[float], List[int]]:
-        """The ranks of a batch of edges given by their `name_bytes`, and
-        the batch's indices in increasing sort_key order. `key(i)` is edge
-        i's sort_key; it is called only if a rank repeats in the batch,
-        when the indices are sorted by it to break the tie by name."""
-        ranks = self.ranks_of(names)
-        if len(set(ranks)) == len(ranks):
-            return ranks, sorted(range(len(ranks)), key=ranks.__getitem__)
-        return ranks, sorted(range(len(ranks)), key=key)
-
     def sort_edges(self, edges: Iterable[Tuple]) -> List[Tuple]:
         """`edges` in increasing sort_key order, ranked in one batch:
-        `sorted(edges, key=lambda e: self.sort_key(*e))`."""
+        `sorted(edges, key=lambda e: self.sort_key(*e))`. The sort_keys
+        are looked up only if a rank repeats in the batch, to break the
+        tie by name."""
         edges = list(edges)
         name = self.name_bytes
-        _, order = self.rank_order(
-            [name(repr(a), repr(b)) for a, b in edges],
-            lambda i: self.sort_key(*edges[i]))
+        ranks = self.ranks_of([name(repr(a), repr(b)) for a, b in edges])
+        if len(set(ranks)) == len(ranks):
+            order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        else:
+            order = sorted(range(len(ranks)),
+                           key=lambda i: self.sort_key(*edges[i]))
         return [edges[i] for i in order]
 
 

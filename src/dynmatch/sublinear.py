@@ -190,8 +190,8 @@ class ImplicitSupergraph:
                 verts.append(("w", i, j))
             for j in range(1, self.s + 1):
                 verts.append(("u", i, j))
-        # each vertex's repr taken once; the name order of
-        # `RankFunction.canonical`
+        # each vertex's repr taken once; endpoints in `repr` order, as in
+        # the names `RankFunction` ranks
         rep = {x: repr(x) for x in verts}
         edges = set()
         for i in range(self.n):

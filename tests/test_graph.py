@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,15 +167,38 @@ def test_bmatching_maximality_check_raises():
 
 
 def test_validate_solutions():
+    """A valid solution passes; each fault raises at its first failure,
+    OutOfRange for an id outside [0, n) and GraphError for the rest."""
     g = DynamicGraph(4)
-    g.insert(0, 1)
-    g.insert(2, 3)
-    assert validate(g, Matching([(0, 1)]))["ok"]
-    bad = Matching([(0, 2)])
-    assert not validate(g, bad)["ok"]
+    for e in [(0, 1), (1, 2), (2, 3)]:
+        g.insert(*e)
+    validate(g, Matching([(0, 1), (2, 3)]))
+    with pytest.raises(OutOfRange, match=r"\(0,7\)"):
+        validate(g, Matching([(0, 7)]))
+    # partner maps no Matching.add builds: 1 in two edges, 3 -> 2 alone
+    for partner, why in (({0: 2, 2: 0}, "edge (0,2) missing"),
+                         ({0: 1, 1: 2}, "vertex 1 matched twice"),
+                         ({0: 1, 1: 0, 3: 2}, "asymmetric at 3")):
+        bad = Matching()
+        bad.partner.update(partner)
+        with pytest.raises(GraphError, match=re.escape(why)):
+            validate(g, bad)
     bm = BMatching({0: 1, 1: 1})
     bm.add(0, 1)
-    assert validate(g, bm)["ok"]
+    validate(g, bm)
+    for fault, why in ((lambda b: b.mult.update({(0, 3): 1}), "(0,3) missing"),
+                       (lambda b: b.mult.update({(2, 3): 1}),
+                        "2 has no capacity"),
+                       (lambda b: b.mult.update({(0, 1): 2}),
+                        "capacity breach at 0"),
+                       (lambda b: b.load.update({0: 0}), "stale at 0")):
+        bad = BMatching({0: 1, 1: 1})
+        bad.add(0, 1)
+        fault(bad)
+        with pytest.raises(GraphError, match=re.escape(why)):
+            validate(g, bad)
+    with pytest.raises(TypeError):
+        validate(g, [(0, 1)])
 
 
 def test_stream_format_roundtrip(tmp_path):

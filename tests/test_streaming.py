@@ -5,7 +5,8 @@ import statistics
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynmatch.graph import BMatching, DynamicGraph, Matching, norm_edge
+from dynmatch.graph import (BMatching, DynamicGraph, Matching, NotMaximal,
+                            norm_edge)
 from dynmatch import estimator, oracles, streaming
 from dynmatch.streaming import (B_BIPARTITE, B_GENERAL, DELTA, Boundary,
                                 NonBipartiteInput, SecondPassConfig,
@@ -96,6 +97,27 @@ def test_bulk_b_matching_rejects_nonpositive_caps():
     for fn in (bulk_maximal_b_matching, method_bulk_maximal_b_matching):
         with pytest.raises(ValueError):
             fn([(0, 1)], {0: 1, 1: 0})
+
+
+class _Shifting:
+    """Edges whose first iteration yields `first` and every later one
+    `later`: an input that changes between a pass and its re-check."""
+
+    def __init__(self, first, later):
+        self.first, self.later, self.iterations = first, later, 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return iter(self.first if self.iterations == 1 else self.later)
+
+
+def test_bulk_b_matching_rechecks_maximality():
+    """The re-check reads the edges again: an edge between two unsaturated
+    vertices that only the second iteration yields raises NotMaximal."""
+    edges = _Shifting([(0, 1)], [(0, 1), (2, 3)])
+    with pytest.raises(NotMaximal, match=r"at \(2,3\)"):
+        bulk_maximal_b_matching(edges, dict.fromkeys(range(4), 1))
+    assert edges.iterations == 2
 
 
 def test_bipartite_two_pass_empty_and_disjoint():
@@ -387,6 +409,30 @@ def test_general_pass_rejects_nonpositive_b_on_a_boundary(b):
             estimator.general_query(empty, Matching(), b, [seed], 1)
         with pytest.raises(ValueError):
             general_two_pass([], 4, b=b, seed=seed)
+
+
+class _Flipping:
+    """Coins read as given for the first `reads` reads and flipped after:
+    coins whose values change between a pass and its re-check."""
+
+    def __init__(self, coins, reads):
+        self.coins, self.reads = coins, reads
+
+    def __getitem__(self, i):
+        self.reads -= 1
+        return self.coins[i] ^ (self.reads < 0)
+
+
+def test_general_pass_rechecks_maximality():
+    """The re-check reads the coins again: the one boundary edge 1-2, whose
+    matched end 1 is "r", does not cross while free 2 reads "r" in the
+    pass, and crosses with 2 unmatched in the re-check."""
+    boundary = Boundary([(0, 1), (1, 2)], Matching([(0, 1)]))
+    assert boundary.edges == [(1, 0, 1)] and boundary.free == [2]
+    assert second_pass_general(boundary, [1], 1) == ({}, 0)
+    assert second_pass_general(boundary, [0], 1) == ({1: 2}, 0)
+    with pytest.raises(NotMaximal, match=r"at \(1,2\)"):
+        second_pass_general(boundary, _Flipping([1], reads=1), 1)
 
 
 def test_lazy_coins_match_dense_reference_in_any_access_order():
